@@ -15,10 +15,16 @@
 //
 // A deep-vs-COW instance copy microbenchmark isolates the mechanism.
 //
+// Both enumeration benchmarks also report how many Cfg and Liveness
+// analyses one pass builds (cfg_builds, liveness_builds). These counts are
+// deterministic, so the counters section of baseline_ratios.json gates
+// them exactly.
+//
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
 #include "src/core/Compilers.h"
+#include "src/ir/AnalysisCounts.h"
 
 #include <benchmark/benchmark.h>
 
@@ -59,16 +65,22 @@ void runEnumerate(benchmark::State &State, bool DeepCopy) {
   Cfg.DeepCopyInstances = DeepCopy;
   const Enumerator E(PM, Cfg);
   uint64_t Nodes = 0, Attempts = 0;
+  AnalysisCounts Built;
   for (auto _ : State) {
     Nodes = Attempts = 0;
+    const AnalysisCounts Before = analysisBuildTotals();
     for (const Function &F : Fns) {
       EnumerationResult R = E.enumerate(F);
       Nodes += R.Nodes.size();
       Attempts += R.AttemptedPhases;
     }
+    Built = analysisBuildTotals() - Before;
     benchmark::DoNotOptimize(Nodes);
   }
   State.counters["nodes"] = static_cast<double>(Nodes);
+  State.counters["cfg_builds"] = static_cast<double>(Built.CfgBuilds);
+  State.counters["liveness_builds"] =
+      static_cast<double>(Built.LivenessBuilds);
   State.counters["nodes_per_sec"] = benchmark::Counter(
       static_cast<double>(Nodes * State.iterations()),
       benchmark::Counter::kIsRate);

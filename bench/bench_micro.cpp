@@ -13,6 +13,7 @@
 #include "bench/BenchCommon.h"
 #include "src/analysis/Liveness.h"
 #include "src/core/Compilers.h"
+#include "src/machine/RegisterAssign.h"
 #include "src/support/Crc32.h"
 
 #include <benchmark/benchmark.h>
@@ -67,6 +68,29 @@ void BM_AttemptInstructionSelection(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_AttemptInstructionSelection);
+
+void BM_AttemptDeadAssignElim(benchmark::State &State) {
+  Function F = workloadFunction("sha", "sha_transform");
+  PhaseManager PM;
+  for (auto _ : State) {
+    Function Copy = F;
+    benchmark::DoNotOptimize(PM.attempt(PhaseId::DeadAssignElim, Copy));
+  }
+}
+BENCHMARK(BM_AttemptDeadAssignElim);
+
+/// CSE requires register assignment; it is done once up front so the
+/// loop times the phase alone.
+void BM_AttemptCse(benchmark::State &State) {
+  Function F = workloadFunction("sha", "sha_transform");
+  assignRegisters(F);
+  PhaseManager PM;
+  for (auto _ : State) {
+    Function Copy = F;
+    benchmark::DoNotOptimize(PM.attempt(PhaseId::Cse, Copy));
+  }
+}
+BENCHMARK(BM_AttemptCse);
 
 void BM_BatchCompile(benchmark::State &State) {
   Function F = workloadFunction("stringsearch", "bmh_search");

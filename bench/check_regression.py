@@ -12,6 +12,11 @@ was committed. Absolute times vary with the host, so only ratios are
 checked: a run fails when a measured ratio falls more than ``tolerance``
 below its committed baseline. Ratios marked ``min_cores`` are skipped on
 hosts too small to express the speedup at all.
+
+The optional ``counters`` section pins deterministic work counters (for
+example analysis builds per enumeration) that benchmarks report as
+google-benchmark user counters. They are the same on every host, so
+they are compared exactly: any difference fails, in either direction.
 """
 
 import argparse
@@ -20,17 +25,18 @@ import os
 import sys
 
 
-def load_times(paths):
-    """Loads benchmark real_times (ns) across all result files.
+def load_runs(paths):
+    """Loads the per-iteration benchmark rows across all result files.
 
-    Returns ``(times, loaded, problems)``: the name -> time map, the set
-    of result file basenames that parsed, and a list of human-readable
+    Returns ``(runs, loaded, problems)``: the name -> list of rows map
+    (one row per repetition), the set of result file basenames that
+    parsed, and a list of human-readable
     problems for files that could not be read or parsed. Unreadable files
     are reported rather than raised so one missing artifact fails its own
     ratios with a clear message instead of killing the whole check with a
     traceback.
     """
-    times = {}
+    runs = {}
     loaded = set()
     problems = []
     for path in paths:
@@ -49,8 +55,8 @@ def load_times(paths):
         for b in data.get("benchmarks", []):
             if b.get("run_type") == "aggregate":
                 continue
-            times[b["name"]] = float(b["real_time"])
-    return times, loaded, problems
+            runs.setdefault(b["name"], []).append(b)
+    return runs, loaded, problems
 
 
 def missing_message(ratio, benchmark, loaded):
@@ -65,6 +71,28 @@ def missing_message(ratio, benchmark, loaded):
     return f"FAIL {name}: benchmark '{benchmark}' missing from {where}"
 
 
+def check_counter(entry, runs, loaded):
+    """Returns the failure line for one exact counter, or None if it holds.
+
+    Every repetition of the benchmark must report exactly the expected
+    value; the counters are deterministic, so there is no tolerance.
+    """
+    name = entry["name"]
+    rows = runs.get(entry["benchmark"])
+    if not rows:
+        return missing_message(entry, entry["benchmark"], loaded)
+    expected = entry["expected"]
+    for row in rows:
+        if entry["counter"] not in row:
+            return (f"FAIL {name}: benchmark '{entry['benchmark']}' reports "
+                    f"no counter '{entry['counter']}'")
+        measured = row[entry["counter"]]
+        if measured != expected:
+            return (f"FAIL {name}: measured {measured:.17g}, expected "
+                    f"exactly {expected} (deterministic counter changed)")
+    return None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline", required=True,
@@ -76,7 +104,8 @@ def main():
     with open(args.baseline) as f:
         baseline = json.load(f)
     tolerance = float(baseline.get("tolerance", 0.25))
-    times, loaded, problems = load_times(args.results)
+    runs, loaded, problems = load_runs(args.results)
+    times = {n: float(rows[-1]["real_time"]) for n, rows in runs.items()}
     cores = os.cpu_count() or 1
 
     failed = []
@@ -105,12 +134,22 @@ def main():
         if measured < floor:
             failed.append(name)
 
+    for c in baseline.get("counters", []):
+        problem = check_counter(c, runs, loaded)
+        if problem:
+            print(problem)
+            failed.append(c["name"])
+        else:
+            print(f"PASS {c['name']}: {c['counter']} of {c['benchmark']} "
+                  f"is exactly {c['expected']}")
+
     if failed:
         print(f"\n{len(failed)} check(s) failed (regression beyond "
-              f"{tolerance:.0%}, or missing benchmarks/results): "
+              f"{tolerance:.0%}, a changed counter, or missing "
+              f"benchmarks/results): "
               f"{'; '.join(failed)}")
         return 1
-    print("\nall ratios within tolerance")
+    print("\nall ratios within tolerance, all counters exact")
     return 0
 
 

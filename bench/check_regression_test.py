@@ -6,7 +6,7 @@ Run directly (``python3 bench/check_regression_test.py``) or via ctest
 a missing or unreadable results file, and a gated benchmark name absent
 from its results file, produce clear single-line failures naming the
 benchmark and the file — never a raw KeyError/FileNotFoundError
-traceback.
+traceback — and that deterministic counters gate exactly.
 """
 
 import json
@@ -49,9 +49,25 @@ class CheckRegressionTest(unittest.TestCase):
             capture_output=True, text=True)
         return proc.returncode, proc.stdout + proc.stderr
 
-    def baseline(self, ratios, tolerance=0.25):
-        return self.write("baseline.json",
-                          {"tolerance": tolerance, "ratios": ratios})
+    def baseline(self, ratios, tolerance=0.25, counters=None):
+        payload = {"tolerance": tolerance, "ratios": ratios}
+        if counters is not None:
+            payload["counters"] = counters
+        return self.write("baseline.json", payload)
+
+    def counter_baseline(self, expected=4719):
+        return self.baseline([], counters=[{
+            "name": "demo-builds", "file": "BENCH_demo.json",
+            "benchmark": "BM_Enum", "counter": "liveness_builds",
+            "expected": expected,
+        }])
+
+    def counter_results(self, *values):
+        # One row per repetition, each carrying the user counter.
+        rows = [{"name": "BM_Enum", "real_time": 100.0,
+                 "run_type": "iteration", "liveness_builds": float(v)}
+                for v in values]
+        return self.write("BENCH_demo.json", {"benchmarks": rows})
 
     def test_passing_ratio(self):
         base = self.baseline([{
@@ -151,6 +167,42 @@ class CheckRegressionTest(unittest.TestCase):
         code, out = self.run_check(base, [res])
         self.assertEqual(code, 0, out)
 
+    def test_exact_counter_passes(self):
+        code, out = self.run_check(self.counter_baseline(),
+                                   [self.counter_results(4719, 4719)])
+        self.assertEqual(code, 0, out)
+        self.assertIn("PASS demo-builds", out)
+
+    def test_counter_gates_both_directions(self):
+        # Fewer builds is a change too: the committed value must be
+        # updated deliberately, never drift.
+        for value in (4720, 4718):
+            code, out = self.run_check(self.counter_baseline(),
+                                       [self.counter_results(value)])
+            self.assertEqual(code, 1, out)
+            self.assertIn("FAIL demo-builds", out)
+            self.assertIn("expected exactly 4719", out)
+
+    def test_counter_checks_every_repetition(self):
+        code, out = self.run_check(self.counter_baseline(),
+                                   [self.counter_results(4719, 4800)])
+        self.assertEqual(code, 1, out)
+        self.assertIn("measured 4800", out)
+
+    def test_counter_absent_from_row(self):
+        res = self.write("BENCH_demo.json", bench_json(BM_Enum=100))
+        code, out = self.run_check(self.counter_baseline(), [res])
+        self.assertEqual(code, 1, out)
+        self.assertIn("reports no counter 'liveness_builds'", out)
+        self.assertNotIn("Traceback", out)
+
+    def test_counter_benchmark_missing(self):
+        res = self.write("BENCH_demo.json", bench_json(BM_Other=100))
+        code, out = self.run_check(self.counter_baseline(), [res])
+        self.assertEqual(code, 1, out)
+        self.assertIn("benchmark 'BM_Enum' missing from BENCH_demo.json", out)
+        self.assertNotIn("Traceback", out)
+
     def test_repo_baseline_is_well_formed(self):
         # The committed baseline file parses and every entry carries the
         # fields the checker and the CI wiring rely on.
@@ -163,6 +215,11 @@ class CheckRegressionTest(unittest.TestCase):
             for field in ("name", "file", "numerator", "denominator",
                           "baseline"):
                 self.assertIn(field, r, r.get("name", "<unnamed>"))
+        for c in data.get("counters", []):
+            for field in ("name", "file", "benchmark", "counter", "expected",
+                          "provenance"):
+                self.assertIn(field, c, c.get("name", "<unnamed>"))
+            self.assertIsInstance(c["expected"], int, c["name"])
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@
 
 #include "src/analysis/Liveness.h"
 
+#include "src/ir/AnalysisCounts.h"
+
 #include <algorithm>
 
 using namespace pose;
@@ -30,6 +32,7 @@ void Liveness::stepBackward(const Rtl &I, BitVector &Set, size_t IcIndex) {
 }
 
 Liveness::Liveness(const Function &F, const Cfg &C) {
+  countAnalysisBuild(AnalysisKind::Liveness);
   NumRegs = std::max<size_t>(F.pseudoLimit(), FirstPseudoReg);
   const size_t NumBits = NumRegs + 1; // +1 for IC
   const size_t N = F.Blocks.size();

@@ -6,6 +6,8 @@
 
 #include "src/ir/Function.h"
 
+#include "src/ir/AnalysisCounts.h"
+
 #include <algorithm>
 
 using namespace pose;
@@ -38,6 +40,7 @@ void Function::recomputeCounters() {
 }
 
 Cfg Cfg::build(const Function &F) {
+  countAnalysisBuild(AnalysisKind::Cfg);
   Cfg C;
   const size_t N = F.Blocks.size();
   C.Succs.resize(N);

@@ -21,6 +21,10 @@
 //      tuple is available turns into a move from the holding register (or
 //      disappears when it targets the same register).
 //
+// None of the three changes the CFG or names a new register, so one Cfg
+// and one register universe serve the whole application, and every
+// per-register state is a dense array indexed by register number.
+//
 //===----------------------------------------------------------------------===//
 
 #include "src/ir/Function.h"
@@ -28,9 +32,10 @@
 #include "src/opt/Phases.h"
 #include "src/support/BitVector.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
+#include <tuple>
 
 using namespace pose;
 
@@ -66,11 +71,26 @@ LatticeVal meet(const LatticeVal &A, const LatticeVal &B) {
   return LatticeVal::bottom();
 }
 
-using RegState = std::map<RegNum, LatticeVal>;
+/// Lattice value per register of the universe; Top is the default.
+using RegState = std::vector<LatticeVal>;
 
-LatticeVal lookup(const RegState &S, RegNum R) {
-  auto It = S.find(R);
-  return It == S.end() ? LatticeVal::top() : It->second;
+/// One past the highest register \p F names. No part of c introduces a
+/// register, so the bound holds for the whole application.
+size_t registerUniverse(const Function &F) {
+  size_t N = 0;
+  auto Visit = [&N](const Operand &O) {
+    if (O.isReg())
+      N = std::max<size_t>(N, O.getReg() + 1);
+  };
+  for (const BasicBlock &B : F.Blocks)
+    for (const Rtl &I : B.Insts) {
+      Visit(I.Dst);
+      for (const Operand &S : I.Src)
+        Visit(S);
+      for (const Operand &A : I.Args)
+        Visit(A);
+    }
+  return N;
 }
 
 std::optional<int32_t> foldConst(Op O, int32_t A, int32_t B) {
@@ -113,7 +133,7 @@ std::optional<int32_t> operandConst(const Operand &O, const RegState &S) {
   if (O.isImm())
     return O.Value;
   if (O.isReg()) {
-    LatticeVal V = lookup(S, O.getReg());
+    const LatticeVal &V = S[O.getReg()];
     if (V.Kind == LatticeVal::Const)
       return V.Value;
   }
@@ -157,45 +177,32 @@ void transfer(const Rtl &I, RegState &S) {
   S[D] = LatticeVal::bottom(); // Lea, Load, Call.
 }
 
-bool constantPropagation(Function &F) {
+bool constantPropagation(Function &F, const Cfg &C, size_t NumRegs) {
   const size_t N = F.Blocks.size();
-  Cfg C = Cfg::build(F);
-  std::vector<RegState> In(N), Out(N);
+  std::vector<RegState> In(N, RegState(NumRegs)), Out(N, RegState(NumRegs));
+  RegState NewIn(NumRegs), NewOut(NumRegs);
   bool Iterate = true;
   while (Iterate) {
     Iterate = false;
     for (size_t B = 0; B != N; ++B) {
-      RegState NewIn;
-      if (B == 0) {
-        // Entry: nothing known (parameters arrive in memory).
+      // Entry (parameters arrive in memory) and unreachable blocks know
+      // nothing; elsewhere take the pointwise meet over predecessors.
+      if (B == 0 || C.Preds[B].empty()) {
+        std::fill(NewIn.begin(), NewIn.end(), LatticeVal::top());
       } else {
-        bool First = true;
-        for (int P : C.Preds[B]) {
-          if (First) {
-            NewIn = Out[static_cast<size_t>(P)];
-            First = false;
-            continue;
-          }
-          // Pointwise meet; registers missing on either side are Top and
-          // take the other side's value.
-          RegState Met;
-          const RegState &OtherS = Out[static_cast<size_t>(P)];
-          std::set<RegNum> Keys;
-          for (const auto &[R, V] : NewIn)
-            Keys.insert(R);
-          for (const auto &[R, V] : OtherS)
-            Keys.insert(R);
-          for (RegNum R : Keys)
-            Met[R] = meet(lookup(NewIn, R), lookup(OtherS, R));
-          NewIn = std::move(Met);
+        NewIn = Out[static_cast<size_t>(C.Preds[B][0])];
+        for (size_t P = 1; P != C.Preds[B].size(); ++P) {
+          const RegState &Other = Out[static_cast<size_t>(C.Preds[B][P])];
+          for (size_t R = 0; R != NumRegs; ++R)
+            NewIn[R] = meet(NewIn[R], Other[R]);
         }
       }
-      RegState NewOut = NewIn;
+      NewOut = NewIn;
       for (const Rtl &I : F.Blocks[B].Insts)
         transfer(I, NewOut);
       if (NewIn != In[B] || NewOut != Out[B]) {
-        In[B] = std::move(NewIn);
-        Out[B] = std::move(NewOut);
+        In[B] = NewIn;
+        Out[B] = NewOut;
         Iterate = true;
       }
     }
@@ -219,7 +226,7 @@ bool constantPropagation(Function &F) {
       auto TryOperand = [&](Operand &O, int SrcIndex) {
         if (!O.isReg())
           return;
-        LatticeVal V = lookup(S, O.getReg());
+        const LatticeVal &V = S[O.getReg()];
         if (V.Kind != LatticeVal::Const)
           return;
         if (!target::immediateAllowed(New.Opcode, SrcIndex, V.Value))
@@ -263,47 +270,41 @@ bool constantPropagation(Function &F) {
 // Local copy propagation
 //===----------------------------------------------------------------------===//
 
-bool copyPropagation(Function &F) {
+bool copyPropagation(Function &F, size_t NumRegs) {
+  constexpr RegNum NoCopy = ~RegNum(0);
+  // CopyOf[d] = s for an active "mov d, s" (s != d), else NoCopy.
+  std::vector<RegNum> CopyOf(NumRegs);
   bool Changed = false;
   for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
-    std::map<RegNum, RegNum> CopyOf; // d -> s for an active "mov d, s".
-    auto Kill = [&CopyOf](RegNum W) {
-      CopyOf.erase(W);
-      for (auto It = CopyOf.begin(); It != CopyOf.end();) {
-        if (It->second == W)
-          It = CopyOf.erase(It);
-        else
-          ++It;
-      }
-    };
+    std::fill(CopyOf.begin(), CopyOf.end(), NoCopy);
     BasicBlock *MB = nullptr; // Materialized on the first rewrite.
     const size_t NI = F.Blocks[BI].Insts.size();
     for (size_t J = 0; J != NI; ++J) {
       // Probe const-side whether any use reads through an active copy.
       bool Needs = false;
       (MB ? MB->Insts[J] : F.Blocks[BI].Insts[J])
-          .forEachUsedReg([&](RegNum R) {
-            auto It = CopyOf.find(R);
-            Needs |= It != CopyOf.end() && It->second != R;
-          });
+          .forEachUsedReg([&](RegNum R) { Needs |= CopyOf[R] != NoCopy; });
       if (Needs) {
         if (!MB)
           MB = &F.Blocks.mut(BI);
         MB->Insts[J].forEachUseOperand([&](Operand &O) {
-          auto It = CopyOf.find(O.getReg());
-          if (It != CopyOf.end() && It->second != O.getReg()) {
-            O = Operand::reg(It->second);
+          if (RegNum S = CopyOf[O.getReg()]; S != NoCopy) {
+            O = Operand::reg(S);
             Changed = true;
           }
         });
       }
       const Rtl &I = MB ? MB->Insts[J] : F.Blocks[BI].Insts[J];
       if (I.definesReg()) {
-        RegNum D = I.Dst.getReg();
-        Kill(D);
+        // Writing W ends the copy into W and every copy out of W.
+        const RegNum W = I.Dst.getReg();
+        CopyOf[W] = NoCopy;
+        for (RegNum &S : CopyOf)
+          if (S == W)
+            S = NoCopy;
         if (I.Opcode == Op::Mov && I.Src[0].isReg() &&
-            I.Src[0].getReg() != D)
-          CopyOf[D] = I.Src[0].getReg();
+            I.Src[0].getReg() != W)
+          CopyOf[W] = I.Src[0].getReg();
       }
     }
   }
@@ -349,42 +350,71 @@ std::optional<ExprKey> exprOf(const Rtl &I) {
   return std::nullopt;
 }
 
-bool cseAvailableExpressions(Function &F) {
-  // Collect the expression universe.
+bool cseAvailableExpressions(Function &F, const Cfg &C, size_t NumRegs) {
+  constexpr uint32_t NoExpr = ~uint32_t(0);
+  const size_t N = F.Blocks.size();
+  // Collect the expression universe in first-occurrence order, recording
+  // each instruction's expression index once for the transfer paths.
   std::vector<ExprKey> Universe;
-  std::map<ExprKey, size_t> Index;
-  for (const BasicBlock &B : F.Blocks)
-    for (const Rtl &I : B.Insts)
-      if (std::optional<ExprKey> E = exprOf(I))
-        if (Index.emplace(*E, Universe.size()).second)
+  std::map<ExprKey, uint32_t> Index;
+  std::vector<std::vector<uint32_t>> ExprAt(N);
+  for (size_t B = 0; B != N; ++B) {
+    ExprAt[B].reserve(F.Blocks[B].Insts.size());
+    for (const Rtl &I : F.Blocks[B].Insts) {
+      uint32_t K = NoExpr;
+      if (std::optional<ExprKey> E = exprOf(I)) {
+        auto [It, New] =
+            Index.emplace(*E, static_cast<uint32_t>(Universe.size()));
+        if (New)
           Universe.push_back(*E);
+        K = It->second;
+      }
+      ExprAt[B].push_back(K);
+    }
+  }
   if (Universe.empty())
     return false;
   const size_t NE = Universe.size();
-  const size_t N = F.Blocks.size();
 
-  auto Kills = [&](const Rtl &I, const ExprKey &E) {
-    if (!I.definesReg())
-      return false;
-    RegNum W = I.Dst.getReg();
-    auto Touches = [W](const Operand &O) {
-      return O.isReg() && O.getReg() == W;
-    };
-    // Writing the holding register kills availability unless the write is
-    // the generating computation itself (handled by gen after kill).
-    return Touches(E.Dst) || Touches(E.S0) || Touches(E.S1);
+  // Writing register W kills every tuple that names W as its holding
+  // register or a source (a generating computation re-gens after kill).
+  std::vector<BitVector> KillMask(NumRegs, BitVector(NE));
+  for (size_t K = 0; K != NE; ++K)
+    for (const Operand *O : {&Universe[K].Dst, &Universe[K].S0,
+                             &Universe[K].S1})
+      if (O->isReg())
+        KillMask[O->getReg()].set(K);
+  auto Transfer = [&KillMask](const Rtl &I, uint32_t K, BitVector &Avail) {
+    if (I.definesReg())
+      Avail.subtract(KillMask[I.Dst.getReg()]);
+    if (K != NoExpr)
+      Avail.set(K);
   };
 
-  auto TransferBlock = [&](size_t B, BitVector Avail) {
-    for (const Rtl &I : F.Blocks[B].Insts) {
-      for (size_t K = 0; K != NE; ++K)
-        if (Avail.test(K) && Kills(I, Universe[K]))
-          Avail.reset(K);
-      if (std::optional<ExprKey> E = exprOf(I))
-        Avail.set(Index.at(*E));
+  // Tuples computing the same (op, src0, src1) into different registers:
+  // SameValue holds them grouped, ascending by index within each group.
+  std::vector<uint32_t> SameValue(NE);
+  for (size_t K = 0; K != NE; ++K)
+    SameValue[K] = static_cast<uint32_t>(K);
+  auto ValueKey = [&Universe](uint32_t K) {
+    const ExprKey &E = Universe[K];
+    return std::tuple(static_cast<int>(E.Opcode), static_cast<int>(E.S0.Kind),
+                      E.S0.Value, static_cast<int>(E.S1.Kind), E.S1.Value);
+  };
+  std::sort(SameValue.begin(), SameValue.end(), [&](uint32_t A, uint32_t B) {
+    return std::tuple(ValueKey(A), A) < std::tuple(ValueKey(B), B);
+  });
+  std::vector<uint32_t> GroupBegin(NE), GroupEnd(NE);
+  for (size_t G = 0; G != NE;) {
+    size_t E = G + 1;
+    while (E != NE && ValueKey(SameValue[E]) == ValueKey(SameValue[G]))
+      ++E;
+    for (size_t M = G; M != E; ++M) {
+      GroupBegin[SameValue[M]] = static_cast<uint32_t>(G);
+      GroupEnd[SameValue[M]] = static_cast<uint32_t>(E);
     }
-    return Avail;
-  };
+    G = E;
+  }
 
   // Forward all-paths dataflow.
   BitVector Full(NE);
@@ -392,77 +422,63 @@ bool cseAvailableExpressions(Function &F) {
     Full.set(K);
   std::vector<BitVector> In(N, Full), Out(N, Full);
   In[0] = BitVector(NE);
-  Cfg C = Cfg::build(F);
+  BitVector NewIn(NE), NewOut(NE);
   bool Iterate = true;
   while (Iterate) {
     Iterate = false;
     for (size_t B = 0; B != N; ++B) {
-      BitVector NewIn = B == 0 ? BitVector(NE) : Full;
-      for (int P : C.Preds[B])
-        NewIn.intersectWith(Out[static_cast<size_t>(P)]);
-      if (C.Preds[B].empty() && B != 0)
-        NewIn = BitVector(NE); // Unreachable: claim nothing.
-      BitVector NewOut = TransferBlock(B, NewIn);
+      if (B == 0 || C.Preds[B].empty()) {
+        NewIn.clear(); // Entry, or unreachable: claim nothing.
+      } else {
+        NewIn = Full;
+        for (int P : C.Preds[B])
+          NewIn.intersectWith(Out[static_cast<size_t>(P)]);
+      }
+      NewOut = NewIn;
+      const std::vector<Rtl> &Insts = F.Blocks[B].Insts;
+      for (size_t J = 0; J != Insts.size(); ++J)
+        Transfer(Insts[J], ExprAt[B][J], NewOut);
       if (NewIn != In[B] || NewOut != Out[B]) {
-        In[B] = std::move(NewIn);
-        Out[B] = std::move(NewOut);
+        In[B] = NewIn;
+        Out[B] = NewOut;
         Iterate = true;
       }
     }
   }
 
-  // Rewrite: a recomputation of an available tuple becomes a move from
-  // the holding register (or vanishes when it already targets it).
+  // Rewrite: a recomputation of an available tuple vanishes (its holding
+  // register already has the value); one whose (op, srcs) is available in
+  // another register becomes a move from it.
   bool Changed = false;
   for (size_t B = 0; B != N; ++B) {
-    BitVector Avail = In[B];
+    BitVector &Avail = In[B]; // Consumed: In is not read again.
     BasicBlock *MB = nullptr; // Materialized on the first rewrite.
-    auto Cur = [&]() -> const std::vector<Rtl> & {
-      return MB ? MB->Insts : F.Blocks[B].Insts;
-    };
-    auto Mut = [&]() -> std::vector<Rtl> & {
-      if (!MB)
-        MB = &F.Blocks.mut(B);
-      return MB->Insts;
-    };
-    for (size_t J = 0; J < Cur().size(); ++J) {
-      const Rtl I = Cur()[J]; // By value: Mut() invalidates references.
-      std::optional<ExprKey> E = exprOf(I);
-      bool Elide = false;
-      if (E) {
-        size_t K = Index.at(*E);
-        if (Avail.test(K)) {
-          // The tuple's destination currently holds the value.
-          if (I.Dst == E->Dst) {
-            std::vector<Rtl> &Insts = Mut();
-            Insts.erase(Insts.begin() + static_cast<long>(J));
-            Changed = true;
-            --J;
-            Elide = true;
-          }
-        } else {
-          // Same (op, srcs) but a different destination? Check whether
-          // any available tuple matches the computation.
-          for (size_t K2 = 0; K2 != NE; ++K2) {
-            const ExprKey &Cand = Universe[K2];
-            if (!Avail.test(K2))
-              continue;
-            if (Cand.Opcode == E->Opcode && Cand.S0 == E->S0 &&
-                Cand.S1 == E->S1 && !(Cand.Dst == I.Dst)) {
-              Mut()[J] = rtl::mov(I.Dst, Cand.Dst);
-              Changed = true;
-              break;
-            }
-          }
+    size_t Erased = 0;
+    for (size_t J0 = 0; J0 != ExprAt[B].size(); ++J0) {
+      const size_t J = J0 - Erased;
+      uint32_t K = ExprAt[B][J0];
+      if (K != NoExpr && Avail.test(K)) {
+        if (!MB)
+          MB = &F.Blocks.mut(B);
+        MB->Insts.erase(MB->Insts.begin() + static_cast<long>(J));
+        ++Erased;
+        Changed = true;
+        continue;
+      }
+      if (K != NoExpr) {
+        for (uint32_t G = GroupBegin[K]; G != GroupEnd[K]; ++G) {
+          const uint32_t K2 = SameValue[G];
+          if (K2 == K || !Avail.test(K2))
+            continue;
+          if (!MB)
+            MB = &F.Blocks.mut(B);
+          MB->Insts[J] = rtl::mov(Universe[K].Dst, Universe[K2].Dst);
+          Changed = true;
+          K = NoExpr; // A move computes no tuple.
+          break;
         }
       }
-      if (!Elide) {
-        for (size_t K = 0; K != NE; ++K)
-          if (Avail.test(K) && Kills(Cur()[J], Universe[K]))
-            Avail.reset(K);
-        if (std::optional<ExprKey> E2 = exprOf(Cur()[J]))
-          Avail.set(Index.at(*E2));
-      }
+      Transfer(MB ? MB->Insts[J] : F.Blocks[B].Insts[J], K, Avail);
     }
   }
   return Changed;
@@ -473,13 +489,15 @@ bool cseAvailableExpressions(Function &F) {
 bool CsePhase::apply(Function &F) const {
   assert(F.State.RegsAssigned &&
          "CSE requires register assignment (PhaseManager enforces this)");
+  const Cfg C = Cfg::build(F);
+  const size_t NumRegs = registerUniverse(F);
   bool Changed = false;
   bool Progress = true;
   while (Progress) {
     Progress = false;
-    Progress |= constantPropagation(F);
-    Progress |= copyPropagation(F);
-    Progress |= cseAvailableExpressions(F);
+    Progress |= constantPropagation(F, C, NumRegs);
+    Progress |= copyPropagation(F, NumRegs);
+    Progress |= cseAvailableExpressions(F, C, NumRegs);
     Changed |= Progress;
   }
   return Changed;

@@ -18,38 +18,41 @@
 using namespace pose;
 
 bool DeadAssignElimPhase::apply(Function &F) const {
+  // Deleting a dead assignment only shrinks liveness, so it never makes
+  // another assignment live: removal is confluent and every order reaches
+  // the same fixed point. Each round therefore sweeps every block against
+  // one Liveness, walking backward with a running live set so chains
+  // inside a block die together; live-outs made stale by deletions in
+  // other blocks are only conservative, and the next round catches what
+  // they kept.
   bool Changed = false;
   bool Progress = true;
-  // Deleting one dead assignment can kill the uses that kept another
-  // alive; iterate to a fixed point.
   while (Progress) {
     Progress = false;
-    Cfg C = Cfg::build(F);
-    Liveness LV(F, C);
+    const Cfg C = Cfg::build(F);
+    const Liveness LV(F, C);
+    const size_t IC = LV.icIndex();
     for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
       BasicBlock *MB = nullptr; // Materialized on the first deletion.
-      std::vector<BitVector> After = LV.liveAfterEach(F, BI);
+      BitVector Live = LV.liveOut(BI);
       for (size_t J = F.Blocks[BI].Insts.size(); J-- > 0;) {
         const Rtl &I = MB ? MB->Insts[J] : F.Blocks[BI].Insts[J];
-        if (I.hasSideEffects())
-          continue;
         bool Dead = false;
-        if (I.definesReg())
-          Dead = !After[J].test(I.Dst.getReg());
-        else if (I.definesIC())
-          Dead = !After[J].test(LV.icIndex());
-        else
+        if (!I.hasSideEffects()) {
+          if (I.definesReg())
+            Dead = !Live.test(I.Dst.getReg());
+          else if (I.definesIC())
+            Dead = !Live.test(IC);
+        }
+        if (!Dead) {
+          Liveness::stepBackward(I, Live, IC);
           continue;
-        if (!Dead)
-          continue;
+        }
         if (!MB)
           MB = &F.Blocks.mut(BI);
         MB->Insts.erase(MB->Insts.begin() + static_cast<long>(J));
-        Changed = true;
-        Progress = true;
+        Changed = Progress = true;
       }
-      if (Progress)
-        break; // Liveness is stale after a deletion; recompute.
     }
   }
   return Changed;

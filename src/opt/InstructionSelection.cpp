@@ -244,33 +244,39 @@ bool tryCombine(Function &F, const Liveness &LV, size_t BI, size_t P,
   return true;
 }
 
+/// Performs the first combine found in block \p BI, scanning producers in
+/// order. Returns true if one was made.
+bool combineFirst(Function &F, const Liveness &LV, size_t BI) {
+  const BasicBlock &B = F.Blocks[BI];
+  for (size_t P = 0; P < B.Insts.size(); ++P) {
+    if (!B.Insts[P].definesReg())
+      continue;
+    for (size_t Q = P + 1; Q < B.Insts.size(); ++Q) {
+      if (tryCombine(F, LV, BI, P, Q))
+        return true;
+      // Stop extending the window once d is redefined.
+      if (B.Insts[Q].definesReg() &&
+          B.Insts[Q].Dst.getReg() == B.Insts[P].Dst.getReg())
+        break;
+    }
+  }
+  return false;
+}
+
 } // namespace
 
 bool InstructionSelectionPhase::apply(Function &F) const {
+  // One Cfg + Liveness serve the whole application. A combine rewrites
+  // one block without touching the CFG or any block's live-in/live-out:
+  // each shape only moves a def or use between P and Q, and
+  // regionAllowsCombine proved nothing in between touches the moved
+  // registers. So earlier blocks cannot gain a combine and LV.liveOut
+  // stays exact; only the rewritten block is rescanned from its start.
+  const Cfg C = Cfg::build(F);
+  const Liveness LV(F, C);
   bool Changed = false;
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    Cfg C = Cfg::build(F);
-    Liveness LV(F, C);
-    for (size_t BI = 0; BI != F.Blocks.size() && !Progress; ++BI) {
-      const BasicBlock &B = F.Blocks[BI];
-      for (size_t P = 0; P < B.Insts.size() && !Progress; ++P) {
-        if (!B.Insts[P].definesReg())
-          continue;
-        for (size_t Q = P + 1; Q < B.Insts.size(); ++Q) {
-          if (tryCombine(F, LV, BI, P, Q)) {
-            Progress = true;
-            Changed = true;
-            break;
-          }
-          // Stop extending the window once d is redefined.
-          if (B.Insts[Q].definesReg() &&
-              B.Insts[Q].Dst.getReg() == B.Insts[P].Dst.getReg())
-            break;
-        }
-      }
-    }
-  }
+  for (size_t BI = 0; BI != F.Blocks.size(); ++BI)
+    while (combineFirst(F, LV, BI))
+      Changed = true;
   return Changed;
 }

@@ -230,6 +230,27 @@ TEST(PhaseH, RemovesDeadChains) {
   EXPECT_FALSE(P.apply(F));
 }
 
+TEST(PhaseH, RemovesDeadChainsAcrossBlocks) {
+  // The add in block 1 is the only use of A; once it dies, the mov in
+  // block 0 is dead too, which the liveness of the first round (A live
+  // out of block 0) cannot see. One application must still remove both.
+  Function F;
+  F.addBlock();
+  F.addBlock();
+  RegNum A = F.makePseudo(), B = F.makePseudo(), C = F.makePseudo();
+  F.Blocks.mut(0).Insts.push_back(rtl::mov(Operand::reg(A), Operand::imm(1)));
+  auto &I = F.Blocks.mut(1).Insts;
+  I.push_back(rtl::binary(Op::Add, Operand::reg(B), Operand::reg(A),
+                          Operand::imm(2))); // Dead.
+  I.push_back(rtl::mov(Operand::reg(C), Operand::imm(3)));
+  I.push_back(rtl::ret(Operand::reg(C)));
+  DeadAssignElimPhase P;
+  EXPECT_TRUE(P.apply(F));
+  EXPECT_EQ(F.instructionCount(), 2u); // mov C + ret.
+  EXPECT_TRUE(F.Blocks[0].Insts.empty());
+  EXPECT_FALSE(P.apply(F));
+}
+
 TEST(PhaseH, KeepsSideEffects) {
   Module M = compileOrDie("int g; void f() { g = 1; out(2); }");
   Function &F = functionNamed(M, "f");
