@@ -34,6 +34,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <tuple>
 
@@ -391,30 +392,20 @@ bool cseAvailableExpressions(Function &F, const Cfg &C, size_t NumRegs) {
       Avail.set(K);
   };
 
-  // Tuples computing the same (op, src0, src1) into different registers:
-  // SameValue holds them grouped, ascending by index within each group.
-  std::vector<uint32_t> SameValue(NE);
-  for (size_t K = 0; K != NE; ++K)
-    SameValue[K] = static_cast<uint32_t>(K);
+  // Tuple indices ordered by (op, src0, src1), ascending by index within
+  // a run of equal keys: a run holds one value computed into different
+  // registers.
   auto ValueKey = [&Universe](uint32_t K) {
     const ExprKey &E = Universe[K];
     return std::tuple(static_cast<int>(E.Opcode), static_cast<int>(E.S0.Kind),
                       E.S0.Value, static_cast<int>(E.S1.Kind), E.S1.Value);
   };
-  std::sort(SameValue.begin(), SameValue.end(), [&](uint32_t A, uint32_t B) {
-    return std::tuple(ValueKey(A), A) < std::tuple(ValueKey(B), B);
-  });
-  std::vector<uint32_t> GroupBegin(NE), GroupEnd(NE);
-  for (size_t G = 0; G != NE;) {
-    size_t E = G + 1;
-    while (E != NE && ValueKey(SameValue[E]) == ValueKey(SameValue[G]))
-      ++E;
-    for (size_t M = G; M != E; ++M) {
-      GroupBegin[SameValue[M]] = static_cast<uint32_t>(G);
-      GroupEnd[SameValue[M]] = static_cast<uint32_t>(E);
-    }
-    G = E;
-  }
+  auto ByValue = [&ValueKey](uint32_t A, uint32_t B) {
+    return ValueKey(A) < ValueKey(B);
+  };
+  std::vector<uint32_t> ByValueOrder(NE);
+  std::iota(ByValueOrder.begin(), ByValueOrder.end(), 0u);
+  std::stable_sort(ByValueOrder.begin(), ByValueOrder.end(), ByValue);
 
   // Forward all-paths dataflow.
   BitVector Full(NE);
@@ -466,8 +457,10 @@ bool cseAvailableExpressions(Function &F, const Cfg &C, size_t NumRegs) {
         continue;
       }
       if (K != NoExpr) {
-        for (uint32_t G = GroupBegin[K]; G != GroupEnd[K]; ++G) {
-          const uint32_t K2 = SameValue[G];
+        const auto [Lo, Hi] = std::equal_range(
+            ByValueOrder.begin(), ByValueOrder.end(), K, ByValue);
+        for (auto It = Lo; It != Hi; ++It) {
+          const uint32_t K2 = *It;
           if (K2 == K || !Avail.test(K2))
             continue;
           if (!MB)
