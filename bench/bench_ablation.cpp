@@ -18,7 +18,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
-#include "src/core/Interaction.h"
 
 using namespace pose;
 using namespace pose::bench;
@@ -73,49 +72,5 @@ int main(int Argc, char **Argv) {
               SumWith ? static_cast<double>(SumWithout) /
                             static_cast<double>(SumWith)
                       : 0.0);
-
-  // Second experiment: independence-based edge prediction (the paper's
-  // Section 7 future work), trained per function on the ground truth and
-  // validated to reproduce the identical DAG.
-  std::printf("\nIndependence pruning: optimizer attempts saved by "
-              "predicting always-commuting pairs\n\n");
-  std::printf("%-24s %11s %11s %10s %7s\n", "Function", "attempts",
-              "w/ pruning", "predicted", "saved");
-  uint64_t SumAtt = 0, SumPruned = 0;
-  for (CompiledWorkload &W : compileAllWorkloads()) {
-    for (Function &F : W.M.Functions) {
-      EnumerationResult Truth = EWith.enumerate(F);
-      if (!Truth.complete())
-        continue;
-      InteractionAnalysis IA;
-      IA.addFunction(Truth);
-      EnumeratorConfig Pruned = With;
-      Pruned.UseIndependencePruning = true;
-      for (int X = 0; X != NumPhases; ++X)
-        for (int Y = 0; Y != NumPhases; ++Y)
-          Pruned.TrainedIndependence[X][Y] =
-              IA.alwaysIndependent(phaseByIndex(X), phaseByIndex(Y));
-      Enumerator EPruned(PM, Pruned);
-      EnumerationResult R = EPruned.enumerate(F);
-      bool SameSize = R.Nodes.size() == Truth.Nodes.size();
-      std::printf("%-21s(%c) %11llu %11llu %10llu %6.1f%%%s\n",
-                  F.Name.c_str(), programTag(W.Info->Name),
-                  static_cast<unsigned long long>(Truth.AttemptedPhases),
-                  static_cast<unsigned long long>(R.AttemptedPhases),
-                  static_cast<unsigned long long>(R.PredictedEdges),
-                  100.0 *
-                      (1.0 - static_cast<double>(R.AttemptedPhases) /
-                                 static_cast<double>(Truth.AttemptedPhases)),
-                  SameSize ? "" : "  DAG MISMATCH!");
-      SumAtt += Truth.AttemptedPhases;
-      SumPruned += R.AttemptedPhases;
-    }
-  }
-  std::printf("\ntotals: %llu -> %llu optimizer attempts (%.1f%% saved), "
-              "identical spaces\n",
-              static_cast<unsigned long long>(SumAtt),
-              static_cast<unsigned long long>(SumPruned),
-              100.0 * (1.0 - static_cast<double>(SumPruned) /
-                                 static_cast<double>(SumAtt)));
   return 0;
 }

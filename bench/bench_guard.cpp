@@ -47,7 +47,7 @@ void BM_AttemptGuardDisarmed(benchmark::State &State) {
   for (auto _ : State) {
     Function Copy = F;
     benchmark::DoNotOptimize(
-        Guard.attempt(PhaseId::InstructionSelection, Copy));
+        Guard.attemptNth(PhaseId::InstructionSelection, Copy, 1));
   }
 }
 BENCHMARK(BM_AttemptGuardDisarmed);
@@ -61,7 +61,7 @@ void BM_AttemptGuardVerify(benchmark::State &State) {
   for (auto _ : State) {
     Function Copy = F;
     benchmark::DoNotOptimize(
-        Guard.attempt(PhaseId::InstructionSelection, Copy));
+        Guard.attemptNth(PhaseId::InstructionSelection, Copy, 1));
   }
 }
 BENCHMARK(BM_AttemptGuardVerify);
@@ -71,7 +71,7 @@ void BM_EnumerateGuardDisarmed(benchmark::State &State) {
   PhaseManager PM;
   // The guard always sits on the enumeration path now; with no deadline,
   // memory budget, verification, or faults configured this measures the
-  // pass-through cost (counter increment + governor bookkeeping).
+  // pass-through cost (governor bookkeeping).
   EnumeratorConfig Cfg;
   Enumerator E(PM, Cfg);
   for (auto _ : State)

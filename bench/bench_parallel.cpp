@@ -4,12 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the level-parallel enumerator against the sequential engine at
-// 1/2/4/8 jobs, on real workload functions large enough for a level to
-// amortize the barrier. The engines produce byte-identical DAGs (enforced
-// by tests/core/parallel_enumerator_test.cpp), so this benchmark is a
-// pure wall-clock comparison; speedup is bounded by the host's core count
-// and by Amdahl on the single-threaded barrier commit.
+// Measures the level-parallel enumerator at 1/2/4/8 jobs, on real
+// workload functions large enough for a level to amortize the pool. All
+// job counts produce byte-identical DAGs (enforced by
+// tests/core/parallel_enumerator_test.cpp), so this benchmark is a pure
+// wall-clock comparison; speedup is bounded by the host's core count and
+// by Amdahl on the serial in-order commit.
 //
 //===----------------------------------------------------------------------===//
 

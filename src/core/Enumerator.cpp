@@ -12,8 +12,9 @@
 #include "src/support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
+#include <mutex>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -26,7 +27,7 @@ namespace {
 /// charged once — but the key has to be *content*, never an address:
 /// pointer sharing does not survive a checkpoint resume, and the
 /// accounting is part of the byte-identical determinism contract across
-/// sequential/parallel/interrupted runs. Content hashing is deterministic
+/// job counts and interrupted runs. Content hashing is deterministic
 /// by construction; a (vanishingly rare) 64-bit collision merely
 /// undercounts the approximate charge and does so identically everywhere.
 uint64_t footprintMix(uint64_t H, uint64_t V) {
@@ -156,12 +157,7 @@ uint32_t longestPathLength(const EnumerationResult &R) {
 EnumerationResult
 Enumerator::enumerate(const Function &Root,
                       EnumerationCheckpoint *Checkpoint) const {
-  // Independence pruning predicts edges from edges committed earlier in
-  // the *same* level, an intrinsically sequential dependence; everything
-  // else parallelizes.
-  if (Config.Jobs > 1 && !Config.UseIndependencePruning)
-    return runParallel(Root, nullptr, Checkpoint);
-  return runSequential(Root, nullptr, Checkpoint);
+  return run(Root, nullptr, Checkpoint);
 }
 
 EnumerationResult
@@ -171,31 +167,79 @@ Enumerator::resume(const Function &Root, EnumerationCheckpoint From,
   // code path whether or not a prior session left state behind.
   if (!From.Valid)
     return enumerate(Root, Checkpoint);
-  if (Config.Jobs > 1 && !Config.UseIndependencePruning)
-    return runParallel(Root, &From, Checkpoint);
-  return runSequential(Root, &From, Checkpoint);
+  return run(Root, &From, Checkpoint);
 }
 
-EnumerationResult
-Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
-                          EnumerationCheckpoint *Out) const {
+//===----------------------------------------------------------------------===//
+// The level-synchronous engine
+//===----------------------------------------------------------------------===//
+//
+// Within one BFS level every frontier entry expands independently: the
+// phases it attempts depend only on its own state. So the expensive part
+// of an entry (phase application + canonicalization) runs on any pool
+// thread into a private buffer, consulting the concurrent instance table
+// for read-only hits. Buffers are then committed in exact frontier order
+// by a streaming cursor: whichever thread finishes entry I marks it done
+// under the commit mutex and commits entries from the cursor for as long
+// as the next one is done, freeing each buffer as it goes. Node ids, edge
+// order, statistics and memory charges are all assigned by the commit, in
+// that order, so the DAG is byte-identical for any thread count; with no
+// pool threads (Jobs == 1) every entry is committed right after its own
+// expansion.
+//
+// Two details need care:
+//  * FaultPlan coordinates ("fail the Nth application of P") must not
+//    depend on which worker wins a race. Attempts are predictable from
+//    pre-level state (legal && !incoming), so per-entry application
+//    numbers are precomputed as prefix sums and passed to
+//    PhaseGuard::attemptNth.
+//  * Every stop condition — the level and node budgets and the governor's
+//    deadline, memory budget and cancellation — is evaluated only at the
+//    level barrier, when the DAG is self-consistent.
+
+namespace {
+
+/// One buffered active edge discovered by a worker.
+struct ActiveResult {
+  PhaseId P = PhaseId::BranchChaining;
+  /// Resolved target when the instance hit the table (a node committed at
+  /// an earlier level, or earlier in this one); UINT32_MAX when the
+  /// commit must intern it.
+  uint32_t KnownTarget = UINT32_MAX;
+  PhaseState State{};
+  /// The unresolved instance. The commit hashes its control flow if it is
+  /// new and, in prefix-sharing mode, moves it into the next frontier.
+  Function Instance;
+  CanonicalForm CF;
+};
+
+/// Everything one worker produced for one frontier entry.
+struct TaskResult {
+  uint16_t DormantBits = 0;
+  uint16_t AttemptedBits = 0;
+  uint64_t Attempted = 0;
+  uint64_t PhaseApplications = 0;
+  std::vector<ActiveResult> Active;
+  std::vector<PhaseDiagnostic> Diags;
+};
+
+} // namespace
+
+EnumerationResult Enumerator::run(const Function &Root,
+                                  EnumerationCheckpoint *From,
+                                  EnumerationCheckpoint *Out) const {
   EnumerationResult R;
   ResourceGovernor Gov;
   Gov.setDeadline(Config.DeadlineMs);
   Gov.setMemoryBudget(Config.MaxMemoryBytes);
   Gov.setStopToken(Config.Stop);
-  PhaseGuard Guard(PM, {Config.VerifyIr, Config.Faults});
-  // Shared with the parallel engine: triple -> node id, plus the
-  // hash-consed canonical byte storage for paranoid exact comparison
-  // (one arena-backed buffer per distinct instance).
-  InstanceTable Table(1);
+  InstanceTable Table;
+  ThreadPool Pool(std::max(Config.Jobs, 1u) - 1);
 
-  // Seals the result: collects guard diagnostics, resolves the stop
-  // reason (a run that finished but pruned edges after rollbacks is not
-  // the complete space), and weights the — possibly partial — DAG.
+  // Seals the result: resolves the stop reason (a run that finished but
+  // pruned edges after rollbacks is not the complete space) and weights
+  // the — possibly partial — DAG.
   auto Finish = [&](StopReason Why) {
-    for (PhaseDiagnostic &D : Guard.takeDiagnostics())
-      R.Diagnostics.push_back(std::move(D));
     if (Why == StopReason::Complete && !R.Diagnostics.empty())
       Why = StopReason::VerifierFailure;
     R.Stop = Why;
@@ -203,36 +247,19 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
     computeWeights(R);
   };
 
-  CanonicalScratch Scratch;
-  auto Intern = [&](const Function &F) -> std::pair<uint32_t, bool> {
-    CanonicalForm CF = canonicalize(F, Scratch, Config.ParanoidCompare,
-                                    Config.RemapRegisters);
-    auto [Id, Inserted] =
-        Table.tryEmplace(CF.Hash, static_cast<uint32_t>(R.Nodes.size()));
-    if (Inserted) {
-      DagNode N;
-      N.Hash = CF.Hash;
-      N.CodeSize = CF.Hash.InstCount;
-      N.CfHash = controlFlowHash(F);
-      R.Nodes.push_back(N);
-      Gov.charge(sizeof(DagNode) + CF.Bytes.size());
-      if (Config.ParanoidCompare)
-        Table.recordBytes(Id, CF.Bytes);
-      return {Id, true};
-    }
-    if (Config.ParanoidCompare && !(Table.bytesFor(Id) == CF.Bytes))
-      ++R.HashCollisions;
-    return {Id, false};
-  };
+  // Per-phase application counts so far, in frontier order (the FaultPlan
+  // coordinate space). Persisted across levels and checkpoints.
+  uint64_t AppCount[NumPhases] = {};
+  const PhaseGuard::Options GuardOpts{Config.VerifyIr, Config.Faults};
 
   std::vector<FrontierEntry> Frontier;
   uint64_t FrontierBytes = 0;
   uint32_t Level = 0;
 
   // Captures the continuation for a transient stop: the pending frontier,
-  // the level counter, the guard's application numbering, and (paranoid
-  // mode) the canonical bytes. Call after Finish() so Partial carries the
-  // final stop reason and weights.
+  // the level counter, the application numbering, and (paranoid mode) the
+  // canonical bytes. Call after Finish() so Partial carries the final stop
+  // reason and weights.
   auto Capture = [&](std::vector<FrontierEntry> &&Pending,
                      uint64_t PendingBytes) {
     if (!Out)
@@ -242,12 +269,12 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
     Out->Frontier = std::move(Pending);
     Out->LevelCounter = Level;
     for (int P = 0; P != NumPhases; ++P)
-      Out->AppCount[P] = Guard.applications(phaseByIndex(P));
+      Out->AppCount[P] = AppCount[P];
     Out->FrontierBytes = PendingBytes;
     Out->Paranoid = Config.ParanoidCompare;
     // The checkpoint codec predates the arena: flatten the hash-consed
     // spans back into per-node byte vectors so the serialized format is
-    // unchanged (COW/arena storage is an in-memory representation only).
+    // unchanged (arena storage is an in-memory representation only).
     Out->NodeBytes.clear();
     if (Config.ParanoidCompare) {
       Out->NodeBytes.reserve(R.Nodes.size());
@@ -256,6 +283,35 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
         Out->NodeBytes.emplace_back(S.Data, S.Data + S.Size);
       }
     }
+  };
+
+  // Resolves a canonical form to its node on the commit path. A table hit
+  // the worker already made (\p Known) or a triple already present is only
+  // checked byte-for-byte in paranoid mode; a new triple becomes the next
+  // node id at the current level, and only then pays for hashing the
+  // control flow of \p F.
+  auto Intern = [&](uint32_t Known, const CanonicalForm &CF,
+                    const Function &F) -> std::pair<uint32_t, bool> {
+    uint32_t Id = Known;
+    bool Inserted = false;
+    if (Id == UINT32_MAX)
+      std::tie(Id, Inserted) =
+          Table.tryEmplace(CF.Hash, static_cast<uint32_t>(R.Nodes.size()));
+    if (!Inserted) {
+      if (Config.ParanoidCompare && !(Table.bytesFor(Id) == CF.Bytes))
+        ++R.HashCollisions;
+      return {Id, false};
+    }
+    DagNode N;
+    N.Hash = CF.Hash;
+    N.Level = Level;
+    N.CodeSize = CF.Hash.InstCount;
+    N.CfHash = controlFlowHash(F);
+    R.Nodes.push_back(N);
+    Gov.charge(sizeof(DagNode) + CF.Bytes.size());
+    if (Config.ParanoidCompare)
+      Table.recordBytes(Id, CF.Bytes);
+    return {Id, true};
   };
 
   if (From) {
@@ -273,7 +329,8 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
     Level = From->LevelCounter;
     FrontierBytes = From->FrontierBytes;
     Gov.charge(R.ApproxMemoryBytes);
-    Guard.seedApplications(From->AppCount);
+    for (int P = 0; P != NumPhases; ++P)
+      AppCount[P] = From->AppCount[P];
     // A still-violated limit (e.g. resuming under the same memory budget)
     // must stop here, exactly where the interrupted run stopped.
     if (StopReason Why = Gov.check(); Why != StopReason::Complete) {
@@ -284,19 +341,18 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
     }
   } else {
     Function RootCopy = Root;
-    auto [RootId, RootNew] = Intern(RootCopy);
-    (void)RootNew;
-    R.Nodes[RootId].Level = 0;
-    {
-      FrontierEntry E;
-      E.Node = RootId;
-      E.Instance = RootCopy;
-      E.State = RootCopy.State;
-      FootprintDedup Seen;
-      FrontierBytes = entryFootprint(E, Seen);
-      Gov.charge(FrontierBytes);
-      Frontier.push_back(std::move(E));
-    }
+    Intern(UINT32_MAX,
+           canonicalize(RootCopy, Config.ParanoidCompare,
+                        Config.RemapRegisters),
+           RootCopy);
+    FrontierEntry E;
+    E.Node = 0;
+    E.Instance = RootCopy;
+    E.State = RootCopy.State;
+    FootprintDedup Seen;
+    FrontierBytes = entryFootprint(E, Seen);
+    Gov.charge(FrontierBytes);
+    Frontier.push_back(std::move(E));
     LevelStat L0;
     L0.Level = 0;
     L0.NewNodes = 1;
@@ -309,125 +365,62 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
     LevelStat LS;
     LS.Level = Level;
 
-    // Next-level frontier keyed by node id (merging sequence counts and
-    // incoming-phase masks when several edges reach the same instance).
+    const size_t N = Frontier.size();
+
+    // Precompute the application number every would-be attempt gets in
+    // frontier order: entry I attempts phase P iff P is legal for its
+    // state and not on an incoming edge (a node is expanded exactly once
+    // per run, so no mask is ever partially resolved at level start).
+    std::vector<uint64_t> Base(N * NumPhases);
+    for (size_t I = 0; I != N; ++I)
+      for (int PI = 0; PI != NumPhases; ++PI) {
+        Base[I * NumPhases + PI] = AppCount[PI];
+        if (PM.isLegal(phaseByIndex(PI), Frontier[I].State) &&
+            !(Frontier[I].IncomingMask & (1u << PI)))
+          ++AppCount[PI];
+      }
+
+    // Commit state, all guarded by CommitMutex. Next-level frontier keyed
+    // by node id (merging sequence counts and incoming-phase masks when
+    // several edges reach the same instance).
+    std::mutex CommitMutex;
+    std::vector<TaskResult> Results(N);
+    std::vector<uint8_t> Done(N, 0);
+    size_t Cursor = 0;
+    bool Broken = false;
     std::unordered_map<uint32_t, size_t> NextIndex;
     std::vector<FrontierEntry> Next;
 
-    for (FrontierEntry &E : Frontier) {
-      // Copy-on-write mode (the default): every attempt starts from a
-      // fresh working copy, which is a refcounted handle copy of the
-      // parent's blocks — a dormant attempt unshares nothing, an active
-      // one materializes only the blocks it rewrote. The deep-copy
-      // baseline (Config.DeepCopyInstances) retains the old protocol:
-      // one deep copy serves consecutive attempts and is rebuilt only
-      // after a phase consumed it (active) or mutated it while reporting
-      // dormant.
-      Function Work;
-      bool WorkValid = false;
-      for (int PI = 0; PI != NumPhases; ++PI) {
-        PhaseId P = phaseByIndex(PI);
-        const uint16_t Bit = static_cast<uint16_t>(1u << PI);
-        // NOTE: R.Nodes may reallocate inside Intern; always re-index.
-        if (!PM.isLegal(P, E.State)) {
-          R.Nodes[E.Node].DormantMask |= Bit;
-          continue;
-        }
-        if (E.IncomingMask & Bit) {
-          // Known dormant: the phase was just active producing this node
-          // and no phase succeeds twice consecutively.
-          R.Nodes[E.Node].DormantMask |= Bit;
-          continue;
-        }
-        if ((R.Nodes[E.Node].ActiveMask | R.Nodes[E.Node].DormantMask) &
-            Bit) {
-          // Already resolved through an earlier sequence arriving at the
-          // same node.
-          continue;
-        }
-
-        // Independence-based prediction (Section 7 future work): if the
-        // incoming phase x and the candidate phase y always commute, the
-        // result of y here equals the result of x after y at the parent —
-        // both edges of which may already be known.
-        if (Config.UseIndependencePruning && E.Parent != UINT32_MAX &&
-            Config.TrainedIndependence[static_cast<int>(E.ViaPhase)][PI]) {
-          uint32_t D = R.Nodes[E.Parent].childVia(P);
-          if (D != UINT32_MAX) {
-            uint32_t Predicted = R.Nodes[D].childVia(E.ViaPhase);
-            if (Predicted != UINT32_MAX) {
-              ++R.PredictedEdges;
-              ++LS.Active;
-              R.Nodes[E.Node].ActiveMask |= Bit;
-              R.Nodes[E.Node].Edges.push_back({P, Predicted});
-              Gov.charge(sizeof(DagEdge));
-              if (R.Nodes[Predicted].Level == Level) {
-                auto It = NextIndex.find(Predicted);
-                if (It != NextIndex.end()) {
-                  Next[It->second].IncomingMask |= Bit;
-                  Next[It->second].Sequences += E.Sequences;
-                }
-              }
-              continue;
-            }
-          }
-        }
-
-        // Produce the working copy: COW mode shares the parent's blocks,
-        // the deep-copy baseline reuses the copy left by the previous
-        // (dormant) attempt, and naive mode replays the whole prefix from
-        // the root.
-        if (Config.NaiveReapply) {
-          Work = Root;
-          WorkValid = false;
-          for (PhaseId Prev : E.Path) {
-            PM.attempt(Prev, Work);
-            ++R.PhaseApplications;
-          }
-        } else if (!Config.DeepCopyInstances) {
-          Work = E.Instance;
-        } else if (!WorkValid) {
-          Work = E.Instance.deepCopy();
-          WorkValid = true;
-        }
-
-        ++R.AttemptedPhases;
-        ++R.PhaseApplications;
-        ++LS.Attempted;
-        R.Nodes[E.Node].AttemptedMask |= Bit;
-        PhaseGuard::Outcome Out = Guard.attempt(P, Work);
-        if (Out != PhaseGuard::Outcome::Active) {
-          // Dormant — or rolled back after a verifier failure, which
-          // prunes the edge and ends this branch of the space the same
-          // way (the diagnostic is already recorded in the guard).
-          R.Nodes[E.Node].DormantMask |= Bit;
-          if (Config.DeepCopyInstances && WorkValid &&
-              !identicalInstance(Work, E.Instance))
-            WorkValid = false;
-          continue;
-        }
+    // Commits entry I's buffer; false on a broken internal invariant.
+    auto Commit = [&](size_t I) {
+      const FrontierEntry &E = Frontier[I];
+      TaskResult &T = Results[I];
+      R.Nodes[E.Node].DormantMask |= T.DormantBits;
+      R.Nodes[E.Node].AttemptedMask |= T.AttemptedBits;
+      R.AttemptedPhases += T.Attempted;
+      R.PhaseApplications += T.PhaseApplications;
+      LS.Attempted += T.Attempted;
+      for (ActiveResult &A : T.Active) {
+        const uint16_t Bit =
+            static_cast<uint16_t>(1u << static_cast<int>(A.P));
         ++LS.Active;
-        // The phase consumed the working copy either way; the next attempt
-        // on this entry starts from a fresh copy of the parent.
-        WorkValid = false;
-        auto [Child, IsNew] = Intern(Work);
+        auto [Child, IsNew] = Intern(A.KnownTarget, A.CF, A.Instance);
         R.Nodes[E.Node].ActiveMask |= Bit;
-        R.Nodes[E.Node].Edges.push_back({P, Child});
+        R.Nodes[E.Node].Edges.push_back({A.P, Child});
         Gov.charge(sizeof(DagEdge));
         if (IsNew) {
-          R.Nodes[Child].Level = Level;
           FrontierEntry NE;
           NE.Node = Child;
-          NE.State = Work.State;
           if (Config.NaiveReapply) {
             NE.Path = E.Path;
-            NE.Path.push_back(P);
+            NE.Path.push_back(A.P);
           } else {
-            NE.Instance = std::move(Work);
+            NE.Instance = std::move(A.Instance);
           }
+          NE.State = A.State;
           NE.IncomingMask = Bit;
           NE.Parent = E.Node;
-          NE.ViaPhase = P;
+          NE.ViaPhase = A.P;
           NE.Sequences = E.Sequences;
           NextIndex[Child] = Next.size();
           Next.push_back(std::move(NE));
@@ -437,25 +430,111 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
           auto It = NextIndex.find(Child);
           if (It == NextIndex.end()) {
             // Broken internal invariant (a same-level node must be in
-            // the frontier). A release-mode assert would silently read
-            // garbage here; surface it as a diagnosed partial result
-            // instead.
+            // the next frontier). Surface it as a diagnosed partial
+            // result instead of reading garbage.
             PhaseDiagnostic D;
-            D.Phase = P;
+            D.Phase = A.P;
             D.Func = Root.Name;
             D.Message =
                 "internal error: same-level node missing from the frontier";
             R.Diagnostics.push_back(std::move(D));
-            Finish(StopReason::InternalError);
-            return R;
+            return false;
           }
           Next[It->second].IncomingMask |= Bit;
           Next[It->second].Sequences += E.Sequences;
         }
         // Otherwise: a cross edge to an earlier-level node, which is
-        // already expanded (or being expanded); nothing to enqueue. Any
-        // cycle this may close is detected during weight computation.
+        // already expanded; nothing to enqueue. Any cycle this may close
+        // is detected during weight computation.
       }
+      for (PhaseDiagnostic &D : T.Diags)
+        R.Diagnostics.push_back(std::move(D));
+      return true;
+    };
+
+    Pool.parallelFor(N, [&](size_t I) {
+      const FrontierEntry &E = Frontier[I];
+      TaskResult &T = Results[I];
+      PhaseGuard Guard(PM, GuardOpts);
+      // Per-thread scratch: canonicalization of every attempt this thread
+      // ever runs reuses the same remap arrays and byte buffer.
+      static thread_local CanonicalScratch Scratch;
+      // Copy-on-write mode (the default): every attempt starts from a
+      // fresh working copy, which is a refcounted handle copy of the
+      // parent's blocks — a dormant attempt unshares nothing, an active
+      // one materializes only the blocks it rewrote. The deep-copy
+      // baseline (Config.DeepCopyInstances) retains the old protocol: one
+      // deep copy serves consecutive attempts and is rebuilt only after a
+      // phase consumed it (active) or mutated it while reporting dormant.
+      // Naive mode replays the whole prefix from the root.
+      Function Work;
+      bool WorkValid = false;
+      for (int PI = 0; PI != NumPhases; ++PI) {
+        PhaseId P = phaseByIndex(PI);
+        const uint16_t Bit = static_cast<uint16_t>(1u << PI);
+        // Illegal phases count as dormant, and so does the phase that just
+        // produced this node: no phase succeeds twice consecutively.
+        if (!PM.isLegal(P, E.State) || (E.IncomingMask & Bit)) {
+          T.DormantBits |= Bit;
+          continue;
+        }
+
+        if (Config.NaiveReapply) {
+          Work = Root;
+          WorkValid = false;
+          for (PhaseId Prev : E.Path) {
+            PM.attempt(Prev, Work);
+            ++T.PhaseApplications;
+          }
+        } else if (!Config.DeepCopyInstances) {
+          Work = E.Instance;
+        } else if (!WorkValid) {
+          Work = E.Instance.deepCopy();
+          WorkValid = true;
+        }
+
+        ++T.Attempted;
+        ++T.PhaseApplications;
+        T.AttemptedBits |= Bit;
+        PhaseGuard::Outcome Out =
+            Guard.attemptNth(P, Work, Base[I * NumPhases + PI] + 1);
+        if (Out != PhaseGuard::Outcome::Active) {
+          // Dormant — or rolled back after a verifier failure, which
+          // prunes the edge and ends this branch of the space the same
+          // way (the diagnostic is recorded in the guard).
+          T.DormantBits |= Bit;
+          if (Config.DeepCopyInstances && WorkValid &&
+              !identicalInstance(Work, E.Instance))
+            WorkValid = false;
+          continue;
+        }
+        // The phase consumed the working copy either way; the next attempt
+        // on this entry starts from a fresh copy of the parent.
+        WorkValid = false;
+        ActiveResult A;
+        A.P = P;
+        A.CF = canonicalize(Work, Scratch, Config.ParanoidCompare,
+                            Config.RemapRegisters);
+        if (std::optional<uint32_t> Hit = Table.lookup(A.CF.Hash)) {
+          A.KnownTarget = *Hit;
+        } else {
+          A.State = Work.State;
+          A.Instance = std::move(Work);
+        }
+        T.Active.push_back(std::move(A));
+      }
+      T.Diags = Guard.takeDiagnostics();
+
+      std::lock_guard<std::mutex> Lock(CommitMutex);
+      Done[I] = 1;
+      for (; !Broken && Cursor != N && Done[Cursor]; ++Cursor) {
+        Broken = !Commit(Cursor);
+        Results[Cursor] = TaskResult();
+      }
+    });
+    if (Broken) {
+      Finish(StopReason::InternalError);
+      return R;
     }
 
     LS.NewNodes = Next.size();
@@ -472,7 +551,7 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
     if (!Next.empty())
       R.MaxActiveLength = Level;
 
-    // Level boundary: the expanded frontier is released, the next one
+    // Level barrier: the expanded frontier is released, the next one
     // charged, and every stop condition polled while the DAG is in a
     // self-consistent state.
     Gov.release(FrontierBytes);
@@ -496,434 +575,7 @@ Enumerator::runSequential(const Function &Root, EnumerationCheckpoint *From,
   }
 
   Finish(StopReason::Complete);
-
   // Keep the BFS depth when the space is cyclic.
-  if (!R.Cyclic)
-    R.MaxActiveLength = longestPathLength(R);
-  return R;
-}
-
-//===----------------------------------------------------------------------===//
-// Level-parallel engine
-//===----------------------------------------------------------------------===//
-//
-// Within one BFS level every frontier entry expands independently: the
-// phases it attempts depend only on its own state and on masks resolved
-// *before* the level started. The only shared mutable structure the
-// sequential engine touches per attempt is the instance table and the DAG
-// itself — so workers here do the expensive part (phase application +
-// canonicalization) into private buffers, consulting a sharded concurrent
-// table for read-only hits against earlier levels, and a single-threaded
-// barrier then commits buffered discoveries in exact frontier order.
-// Because node ids, edge order, statistics and memory charges are all
-// assigned at the barrier in that order, the result is byte-identical to
-// the sequential engine for any thread count.
-//
-// Two details need care:
-//  * FaultPlan coordinates ("fail the Nth application of P") must not
-//    depend on which worker wins a race. Attempts are predictable from
-//    pre-level state (legal && !incoming && !resolved-at-level-start), so
-//    per-entry application numbers are precomputed as prefix sums and
-//    passed to PhaseGuard::attemptNth.
-//  * Deadline/Cancelled stops are polled by workers at node granularity
-//    (the whole point of stopping promptly); when one fires the in-flight
-//    level is discarded entirely, leaving the self-consistent DAG of the
-//    previous barrier. Budget stops (Level/Node/Memory) are evaluated
-//    only at the barrier, in the sequential order, and match exactly.
-
-namespace {
-
-/// One buffered active edge discovered by a worker.
-struct ActiveResult {
-  PhaseId P = PhaseId::BranchChaining;
-  /// Resolved target when the instance hit the table (an earlier-level
-  /// node); UINT32_MAX when the instance is new-at-this-level and must be
-  /// resolved at the barrier.
-  uint32_t KnownTarget = UINT32_MAX;
-  uint64_t CfHash = 0;
-  PhaseState State{};
-  /// The instance (prefix-sharing mode only; naive mode replays paths).
-  Function Instance;
-  CanonicalForm CF;
-};
-
-/// Everything one worker produced for one frontier entry.
-struct TaskResult {
-  uint16_t DormantBits = 0;
-  uint16_t AttemptedBits = 0;
-  uint64_t Attempted = 0;
-  uint64_t PhaseApplications = 0;
-  std::vector<ActiveResult> Active;
-  std::vector<PhaseDiagnostic> Diags;
-  /// Set when the entry was skipped because a worker observed a stop.
-  bool Skipped = false;
-};
-
-} // namespace
-
-EnumerationResult
-Enumerator::runParallel(const Function &Root, EnumerationCheckpoint *From,
-                        EnumerationCheckpoint *Out) const {
-  EnumerationResult R;
-  ResourceGovernor Gov;
-  Gov.setDeadline(Config.DeadlineMs);
-  Gov.setMemoryBudget(Config.MaxMemoryBytes);
-  Gov.setStopToken(Config.Stop);
-  InstanceTable Table;
-  ThreadPool Pool(Config.Jobs - 1);
-
-  auto Finish = [&](StopReason Why) {
-    if (Why == StopReason::Complete && !R.Diagnostics.empty())
-      Why = StopReason::VerifierFailure;
-    R.Stop = Why;
-    R.ApproxMemoryBytes = Gov.chargedBytes();
-    computeWeights(R);
-  };
-
-  // Per-phase application counts so far, in sequential numbering (the
-  // FaultPlan coordinate space). Persisted across levels.
-  uint64_t AppCount[NumPhases] = {};
-  const PhaseGuard::Options GuardOpts{Config.VerifyIr, Config.Faults};
-
-  std::vector<FrontierEntry> Frontier;
-  uint64_t FrontierBytes = 0;
-  uint32_t Level = 0;
-
-  // Checkpoint capture, mirroring the sequential engine. \p Counts is the
-  // application numbering valid at the \p LevelCounter barrier (a
-  // discarded in-flight level must hand back the pre-level snapshot).
-  auto Capture = [&](std::vector<FrontierEntry> &&Pending,
-                     uint64_t PendingBytes, uint32_t LevelCounter,
-                     const uint64_t (&Counts)[NumPhases]) {
-    if (!Out)
-      return;
-    Out->Valid = true;
-    Out->Partial = R;
-    Out->Frontier = std::move(Pending);
-    Out->LevelCounter = LevelCounter;
-    for (int P = 0; P != NumPhases; ++P)
-      Out->AppCount[P] = Counts[P];
-    Out->FrontierBytes = PendingBytes;
-    Out->Paranoid = Config.ParanoidCompare;
-    // Flatten the hash-consed spans back into per-node byte vectors; the
-    // checkpoint serialization format is unchanged.
-    Out->NodeBytes.clear();
-    if (Config.ParanoidCompare) {
-      Out->NodeBytes.reserve(R.Nodes.size());
-      for (uint32_t I = 0; I != R.Nodes.size(); ++I) {
-        ByteSpan S = Table.bytesFor(I);
-        Out->NodeBytes.emplace_back(S.Data, S.Data + S.Size);
-      }
-    }
-  };
-
-  if (From) {
-    R = std::move(From->Partial);
-    for (uint32_t I = 0; I != R.Nodes.size(); ++I)
-      Table.tryEmplace(R.Nodes[I].Hash, I);
-    if (Config.ParanoidCompare)
-      for (uint32_t I = 0;
-           I != R.Nodes.size() && I != From->NodeBytes.size(); ++I)
-        Table.recordBytes(I, From->NodeBytes[I]);
-    Frontier = std::move(From->Frontier);
-    Level = From->LevelCounter;
-    FrontierBytes = From->FrontierBytes;
-    Gov.charge(R.ApproxMemoryBytes);
-    for (int P = 0; P != NumPhases; ++P)
-      AppCount[P] = From->AppCount[P];
-    if (StopReason Why = Gov.check(); Why != StopReason::Complete) {
-      Finish(Why);
-      if (isResumableStop(Why))
-        Capture(std::move(Frontier), FrontierBytes, Level, AppCount);
-      return R;
-    }
-  } else {
-    // Root interning, mirroring the sequential Intern() path.
-    Function RootCopy = Root;
-    {
-      CanonicalForm CF = canonicalize(RootCopy, Config.ParanoidCompare,
-                                      Config.RemapRegisters);
-      DagNode N;
-      N.Hash = CF.Hash;
-      N.CodeSize = CF.Hash.InstCount;
-      N.CfHash = controlFlowHash(RootCopy);
-      R.Nodes.push_back(N);
-      Gov.charge(sizeof(DagNode) + CF.Bytes.size());
-      Table.tryEmplace(CF.Hash, 0);
-      if (Config.ParanoidCompare)
-        Table.recordBytes(0, CF.Bytes);
-    }
-    {
-      FrontierEntry E;
-      E.Node = 0;
-      E.Instance = RootCopy;
-      E.State = RootCopy.State;
-      FootprintDedup Seen;
-      FrontierBytes = entryFootprint(E, Seen);
-      Gov.charge(FrontierBytes);
-      Frontier.push_back(std::move(E));
-    }
-    LevelStat L0;
-    L0.Level = 0;
-    L0.NewNodes = 1;
-    L0.ActiveSequences = 1;
-    R.Levels.push_back(L0);
-  }
-
-  while (!Frontier.empty()) {
-    ++Level;
-    LevelStat LS;
-    LS.Level = Level;
-
-    const size_t N = Frontier.size();
-
-    // Pre-level snapshot of the application numbering: a Deadline or
-    // Cancelled stop discards the in-flight level, and its checkpoint
-    // must restart the numbering from here.
-    uint64_t AppSnapshot[NumPhases];
-    for (int P = 0; P != NumPhases; ++P)
-      AppSnapshot[P] = AppCount[P];
-
-    // Precompute the application number every would-be attempt gets in
-    // sequential order: entry I attempts phase P iff P is legal for its
-    // state and not on an incoming edge (a node is expanded exactly once
-    // per run, so no mask is ever partially resolved at level start).
-    std::vector<uint64_t> Base(N * NumPhases);
-    for (size_t I = 0; I != N; ++I)
-      for (int PI = 0; PI != NumPhases; ++PI) {
-        Base[I * NumPhases + PI] = AppCount[PI];
-        if (PM.isLegal(phaseByIndex(PI), Frontier[I].State) &&
-            !(Frontier[I].IncomingMask & (1u << PI)))
-          ++AppCount[PI];
-      }
-
-    std::vector<TaskResult> Results(N);
-    // First stop observed by any worker this level (Deadline/Cancelled
-    // only); Complete means the level ran through.
-    std::atomic<uint8_t> LevelStop{
-        static_cast<uint8_t>(StopReason::Complete)};
-
-    Pool.parallelFor(N, [&](size_t I) {
-      // Node-granularity stop poll: one in-flight stop discards the rest
-      // of the level cheaply.
-      if (LevelStop.load(std::memory_order_relaxed) !=
-          static_cast<uint8_t>(StopReason::Complete)) {
-        Results[I].Skipped = true;
-        return;
-      }
-      if (StopReason Why = Gov.check(); Why == StopReason::Cancelled ||
-                                        Why == StopReason::Deadline) {
-        LevelStop.store(static_cast<uint8_t>(Why),
-                        std::memory_order_relaxed);
-        Results[I].Skipped = true;
-        return;
-      }
-
-      const FrontierEntry &E = Frontier[I];
-      TaskResult &T = Results[I];
-      PhaseGuard Guard(PM, GuardOpts);
-      // Per-worker-thread scratch: canonicalization of every attempt this
-      // thread ever runs reuses the same remap arrays and byte buffer.
-      static thread_local CanonicalScratch Scratch;
-      // Same working-copy protocol as the sequential engine: COW handle
-      // copies per attempt by default, the retained deep-copy baseline
-      // under Config.DeepCopyInstances.
-      Function Work;
-      bool WorkValid = false;
-      for (int PI = 0; PI != NumPhases; ++PI) {
-        PhaseId P = phaseByIndex(PI);
-        const uint16_t Bit = static_cast<uint16_t>(1u << PI);
-        if (!PM.isLegal(P, E.State)) {
-          T.DormantBits |= Bit;
-          continue;
-        }
-        if (E.IncomingMask & Bit) {
-          T.DormantBits |= Bit;
-          continue;
-        }
-        // The sequential engine's already-resolved check is a no-op here:
-        // each node enters the frontier exactly once, and this worker is
-        // its only expander.
-
-        if (Config.NaiveReapply) {
-          Work = Root;
-          WorkValid = false;
-          for (PhaseId Prev : E.Path) {
-            PM.attempt(Prev, Work);
-            ++T.PhaseApplications;
-          }
-        } else if (!Config.DeepCopyInstances) {
-          Work = E.Instance;
-        } else if (!WorkValid) {
-          Work = E.Instance.deepCopy();
-          WorkValid = true;
-        }
-
-        ++T.Attempted;
-        ++T.PhaseApplications;
-        T.AttemptedBits |= Bit;
-        PhaseGuard::Outcome Out =
-            Guard.attemptNth(P, Work, Base[I * NumPhases + PI] + 1);
-        if (Out != PhaseGuard::Outcome::Active) {
-          T.DormantBits |= Bit;
-          if (Config.DeepCopyInstances && WorkValid &&
-              !identicalInstance(Work, E.Instance))
-            WorkValid = false;
-          continue;
-        }
-        WorkValid = false;
-        ActiveResult A;
-        A.P = P;
-        A.CF = canonicalize(Work, Scratch, Config.ParanoidCompare,
-                            Config.RemapRegisters);
-        if (std::optional<uint32_t> Hit = Table.lookup(A.CF.Hash)) {
-          // An earlier-level (or root) node: ids already published. Nodes
-          // discovered *this* level are not in the table yet, so this can
-          // never alias an uncommitted id.
-          A.KnownTarget = *Hit;
-          if (!Config.ParanoidCompare)
-            A.CF.Bytes.clear();
-        } else {
-          A.CfHash = controlFlowHash(Work);
-          A.State = Work.State;
-          if (!Config.NaiveReapply)
-            A.Instance = std::move(Work);
-        }
-        T.Active.push_back(std::move(A));
-      }
-      T.Diags = Guard.takeDiagnostics();
-    });
-
-    if (StopReason Why = static_cast<StopReason>(
-            LevelStop.load(std::memory_order_relaxed));
-        Why != StopReason::Complete) {
-      // Discard the in-flight level wholesale: the DAG still describes
-      // the space up to the previous barrier, self-consistently. (The
-      // sequential engine, polling only at barriers, would have finished
-      // this level first — the documented Deadline/Cancelled deviation.)
-      // The checkpoint re-expands this level from the previous barrier.
-      Finish(Why);
-      if (isResumableStop(Why))
-        Capture(std::move(Frontier), FrontierBytes, Level - 1, AppSnapshot);
-      return R;
-    }
-
-    // Barrier commit, in exact frontier order.
-    std::unordered_map<uint32_t, size_t> NextIndex;
-    std::vector<FrontierEntry> Next;
-    for (size_t I = 0; I != N; ++I) {
-      const FrontierEntry &E = Frontier[I];
-      TaskResult &T = Results[I];
-      R.Nodes[E.Node].DormantMask |= T.DormantBits;
-      R.Nodes[E.Node].AttemptedMask |= T.AttemptedBits;
-      R.AttemptedPhases += T.Attempted;
-      R.PhaseApplications += T.PhaseApplications;
-      LS.Attempted += T.Attempted;
-      for (ActiveResult &A : T.Active) {
-        const uint16_t Bit =
-            static_cast<uint16_t>(1u << static_cast<int>(A.P));
-        ++LS.Active;
-        uint32_t Child;
-        bool IsNew = false;
-        if (A.KnownTarget != UINT32_MAX) {
-          Child = A.KnownTarget;
-          if (Config.ParanoidCompare &&
-              !(Table.bytesFor(Child) == A.CF.Bytes))
-            ++R.HashCollisions;
-        } else {
-          auto [Id, Inserted] = Table.tryEmplace(
-              A.CF.Hash, static_cast<uint32_t>(R.Nodes.size()));
-          Child = Id;
-          IsNew = Inserted;
-          if (Inserted) {
-            DagNode Nd;
-            Nd.Hash = A.CF.Hash;
-            Nd.CodeSize = A.CF.Hash.InstCount;
-            Nd.CfHash = A.CfHash;
-            Nd.Level = Level;
-            R.Nodes.push_back(Nd);
-            Gov.charge(sizeof(DagNode) + A.CF.Bytes.size());
-            if (Config.ParanoidCompare)
-              Table.recordBytes(Child, A.CF.Bytes);
-          } else if (Config.ParanoidCompare &&
-                     !(Table.bytesFor(Child) == A.CF.Bytes)) {
-            ++R.HashCollisions;
-          }
-        }
-        R.Nodes[E.Node].ActiveMask |= Bit;
-        R.Nodes[E.Node].Edges.push_back({A.P, Child});
-        Gov.charge(sizeof(DagEdge));
-        if (IsNew) {
-          FrontierEntry NE;
-          NE.Node = Child;
-          if (Config.NaiveReapply) {
-            NE.Path = E.Path;
-            NE.Path.push_back(A.P);
-          } else {
-            NE.Instance = std::move(A.Instance);
-          }
-          NE.State = A.State;
-          NE.IncomingMask = Bit;
-          NE.Parent = E.Node;
-          NE.ViaPhase = A.P;
-          NE.Sequences = E.Sequences;
-          NextIndex[Child] = Next.size();
-          Next.push_back(std::move(NE));
-        } else if (R.Nodes[Child].Level == Level) {
-          auto It = NextIndex.find(Child);
-          if (It == NextIndex.end()) {
-            PhaseDiagnostic D;
-            D.Phase = A.P;
-            D.Func = Root.Name;
-            D.Message =
-                "internal error: same-level node missing from the frontier";
-            R.Diagnostics.push_back(std::move(D));
-            Finish(StopReason::InternalError);
-            return R;
-          }
-          Next[It->second].IncomingMask |= Bit;
-          Next[It->second].Sequences += E.Sequences;
-        }
-      }
-      for (PhaseDiagnostic &D : T.Diags)
-        R.Diagnostics.push_back(std::move(D));
-    }
-
-    LS.NewNodes = Next.size();
-    uint64_t NextBytes = 0;
-    {
-      FootprintDedup Seen;
-      for (const FrontierEntry &E : Next) {
-        LS.ActiveSequences += E.Sequences;
-        NextBytes += entryFootprint(E, Seen);
-      }
-    }
-    if (LS.Attempted || LS.NewNodes)
-      R.Levels.push_back(LS);
-    if (!Next.empty())
-      R.MaxActiveLength = Level;
-
-    Gov.release(FrontierBytes);
-    Gov.charge(NextBytes);
-    FrontierBytes = NextBytes;
-
-    StopReason Why = StopReason::Complete;
-    if (LS.ActiveSequences > Config.MaxLevelSequences)
-      Why = StopReason::LevelBudget;
-    else if (R.Nodes.size() > Config.MaxTotalNodes)
-      Why = StopReason::NodeBudget;
-    else
-      Why = Gov.check();
-    if (Why != StopReason::Complete) {
-      Finish(Why);
-      if (isResumableStop(Why))
-        Capture(std::move(Next), NextBytes, Level, AppCount);
-      return R;
-    }
-    Frontier = std::move(Next);
-  }
-
-  Finish(StopReason::Complete);
   if (!R.Cyclic)
     R.MaxActiveLength = longestPathLength(R);
   return R;

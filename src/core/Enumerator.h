@@ -23,10 +23,11 @@
 ///
 /// Enumeration is embarrassingly parallel within a BFS level: every
 /// frontier instance attempts its phases independently, the only shared
-/// state being the instance table. EnumeratorConfig::Jobs > 1 enables the
-/// level-parallel engine, which is guaranteed to produce a DAG
-/// byte-identical to the sequential one (workers buffer their
-/// discoveries; a deterministic barrier commits them in frontier order).
+/// state being the instance table. There is one engine: each level's
+/// expansions run on EnumeratorConfig::Jobs threads (inline when Jobs is
+/// 1), and their buffered discoveries are committed in frontier order as
+/// soon as every earlier entry is done, so the DAG is byte-identical for
+/// any job count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,22 +134,10 @@ struct EnumeratorConfig {
   /// differ only in register numbering count as distinct (ablation of the
   /// "more aggressive pruning" claim; see bench_ablation).
   bool RemapRegisters = true;
-  /// Independence-based pruning (the paper's Section 7 future work:
-  /// "independence relationships could also be used to more aggressively
-  /// prune the enumeration space"). When phases x and y are recorded as
-  /// always-independent by \ref TrainedIndependence, the enumerator
-  /// predicts the result of applying y after x instead of running the
-  /// optimizer: from parent P with P--x-->C and P--y-->D where D's x-edge
-  /// is already known to reach E, the y edge from C is completed to E
-  /// directly. Predictions are counted in PredictedEdges; correctness is
-  /// validated against ground truth in the tests.
-  bool UseIndependencePruning = false;
-  /// Pairs treated as independent when UseIndependencePruning is on:
-  /// Trained[x][y] true means x and y always commute. Symmetric.
-  bool TrainedIndependence[NumPhases][NumPhases] = {};
   /// Wall-clock deadline in milliseconds, measured from the start of
-  /// enumerate(); 0 = unlimited. Checked at level boundaries, so the
-  /// overrun is bounded by one level's work.
+  /// enumerate(); 0 = unlimited. Checked at level boundaries (for every
+  /// job count), so the overrun is bounded by one level's work and the
+  /// partial DAG is the one any job count reaches by that boundary.
   uint64_t DeadlineMs = 0;
   /// Approximate memory budget in bytes, tracked by node, canonical-byte
   /// and frontier-instance accounting; 0 = unlimited. Checked at level
@@ -164,18 +153,12 @@ struct EnumeratorConfig {
   /// Deterministic fault injection for testing the rollback path (not
   /// owned; may be nullptr).
   const FaultPlan *Faults = nullptr;
-  /// Threads used to expand each BFS level (1 = the sequential engine).
-  /// The parallel engine buffers per-worker discoveries and commits them
-  /// in sequential frontier order at the level barrier, through a sharded
-  /// concurrent instance table, so the resulting DAG — node ids, edges,
-  /// statistics, stop reason, diagnostics, accounted memory — is
-  /// byte-identical to Jobs == 1 for every deterministic stop condition
-  /// (see docs/ROBUSTNESS.md for the exact contract; Deadline and
-  /// Cancelled stops are polled at node granularity instead of level
-  /// granularity, so only their partial DAGs may be smaller).
-  /// UseIndependencePruning has an inherently sequential intra-level
-  /// dependence (predictions read edges committed earlier in the same
-  /// level) and forces the sequential engine regardless of Jobs.
+  /// Threads used to expand each BFS level; 1 (or 0) expands inline on
+  /// the calling thread. Workers buffer each frontier entry's discoveries
+  /// and a streaming commit adds them to the DAG in frontier order,
+  /// through a sharded concurrent instance table, so the result — node
+  /// ids, edges, statistics, stop reason, diagnostics, accounted memory —
+  /// is byte-identical for every job count (see docs/ROBUSTNESS.md).
   unsigned Jobs = 1;
 };
 
@@ -196,9 +179,6 @@ struct EnumerationResult {
   /// Paranoid mode: number of hash-triple collisions with differing
   /// canonical bytes (the paper reports never seeing one).
   uint64_t HashCollisions = 0;
-  /// Independence pruning: edges completed by prediction instead of
-  /// running the optimizer.
-  uint64_t PredictedEdges = 0;
   /// Guarded failures: one entry per rolled-back phase application (and
   /// per internal error). Empty on a clean run.
   std::vector<PhaseDiagnostic> Diagnostics;
@@ -220,7 +200,7 @@ struct EnumerationResult {
 
 /// Frontier entry: a node discovered at the current BFS level, waiting to
 /// be expanded, with enough state to (re)produce its function instance.
-/// Exposed (rather than kept private to the engines) because the
+/// Exposed (rather than kept private to the engine) because the
 /// checkpoint/resume machinery must persist the committed frontier across
 /// process lifetimes (see EnumerationCheckpoint and src/store).
 struct FrontierEntry {
@@ -236,7 +216,8 @@ struct FrontierEntry {
   /// Phases along incoming edges; known dormant without attempting (an
   /// active phase is never successful twice consecutively).
   uint16_t IncomingMask = 0;
-  /// First-discovery provenance, for independence-based prediction.
+  /// First-discovery provenance (the parent node and the phase leading
+  /// here); carried through checkpoints.
   uint32_t Parent = UINT32_MAX;
   PhaseId ViaPhase = PhaseId::BranchChaining;
   /// Number of distinct active sequences reaching this node.
@@ -244,13 +225,13 @@ struct FrontierEntry {
 };
 
 /// A resumable continuation of an interrupted enumeration: everything the
-/// engines need to pick up at the last committed level barrier and produce
+/// engine needs to pick up at the last committed level barrier and produce
 /// a DAG byte-identical to an uninterrupted run. Checkpoints are taken
 /// only for *transient* stops (Deadline, MemoryBudget, Cancelled) — a
 /// budget stop (LevelBudget/NodeBudget) is a final verdict about the
 /// configured space and resuming past it would change its meaning.
 struct EnumerationCheckpoint {
-  /// True once an engine has filled the checkpoint in.
+  /// True once the engine has filled the checkpoint in.
   bool Valid = false;
   /// The partial result as returned to the caller (stop reason set,
   /// weights computed). Node hashes double as the instance table: resume
@@ -258,11 +239,11 @@ struct EnumerationCheckpoint {
   EnumerationResult Partial;
   /// The committed-but-unexpanded frontier at the stop barrier.
   std::vector<FrontierEntry> Frontier;
-  /// Value of the engines' level counter at the barrier; the resumed loop
+  /// Value of the engine's level counter at the barrier; the resumed loop
   /// continues with LevelCounter + 1.
   uint32_t LevelCounter = 0;
-  /// Per-phase application counts in sequential numbering (the FaultPlan
-  /// and diagnostic coordinate space).
+  /// Per-phase application counts in frontier-order numbering (the
+  /// FaultPlan and diagnostic coordinate space).
   uint64_t AppCount[NumPhases] = {};
   /// Governor accounting of the saved frontier (already included in
   /// Partial.ApproxMemoryBytes; split out so the resumed engine can
@@ -288,8 +269,7 @@ public:
 
   /// Enumerates all reachable instances of \p Root (which is copied;
   /// typically the unoptimized function straight out of the front end).
-  /// Dispatches to the sequential or the parallel engine according to
-  /// Config.Jobs; both produce identical results (differentially tested
+  /// The result is the same for every Config.Jobs (differentially tested
   /// in tests/core/parallel_enumerator_test.cpp).
   EnumerationResult enumerate(const Function &Root) const {
     return enumerate(Root, nullptr);
@@ -312,12 +292,8 @@ public:
                            EnumerationCheckpoint *Checkpoint = nullptr) const;
 
 private:
-  EnumerationResult runSequential(const Function &Root,
-                                  EnumerationCheckpoint *From,
-                                  EnumerationCheckpoint *Out) const;
-  EnumerationResult runParallel(const Function &Root,
-                                EnumerationCheckpoint *From,
-                                EnumerationCheckpoint *Out) const;
+  EnumerationResult run(const Function &Root, EnumerationCheckpoint *From,
+                        EnumerationCheckpoint *Out) const;
 
   const PhaseManager &PM;
   EnumeratorConfig Config;

@@ -6,18 +6,20 @@
 ///
 /// \file
 /// The Section 4.2 instance table — canonical hash triple to DAG node id —
-/// made safe for the parallel enumerator by sharding: each triple lands in
+/// made safe for concurrent expansion by sharding: each triple lands in
 /// the shard selected by its CRC, each shard carries its own mutex, so
 /// lock contention falls off with the shard count while a given triple
 /// always resolves through the same shard.
 ///
-/// Concurrency contract (this is what makes the parallel DAG
-/// byte-identical to the sequential one): while a BFS level is being
-/// expanded, worker threads only *look up* — every insert happens on the
-/// commit thread at the level barrier, in sequential frontier order.
-/// Lookups therefore race only with other lookups, any id a worker reads
-/// is final, and a miss can only mean "first seen at the current level",
-/// which the deterministic commit resolves.
+/// Concurrency contract (this is what makes the DAG byte-identical for
+/// every job count): expanding workers only *look up*. Every tryEmplace
+/// and recordBytes happens in the enumerator's commit step, under its
+/// commit mutex, in frontier order. A lookup may race with one commit's
+/// insert, so it can hit a node committed earlier in the same level as
+/// well as one from an earlier level; either way the id is final, because
+/// ids are assigned only by the in-order commit. A miss means "not
+/// committed yet", and the commit resolves it — to the id a same-level
+/// entry ahead of it inserted in the meantime, or to a new one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,10 +68,11 @@ public:
   /// id. This replaces the per-engine NodeBytes side-maps — every copy of
   /// an instance's canonical form shares the single stored buffer.
   ///
-  /// Same determinism contract as tryEmplace: record and read only on the
-  /// commit thread (workers never consult stored bytes — paranoid
-  /// comparison happens at the level barrier), so the arena needs no
-  /// lock and spans stay stable for the table's lifetime.
+  /// Same determinism contract as tryEmplace: record and read only in the
+  /// commit step, under the enumerator's commit mutex (workers never
+  /// consult stored bytes — paranoid comparison happens in the commit),
+  /// so the arena needs no lock of its own and spans stay stable for the
+  /// table's lifetime.
   void recordBytes(uint32_t Id, const std::vector<uint8_t> &Bytes);
   ByteSpan bytesFor(uint32_t Id) const;
 
@@ -90,7 +93,7 @@ private:
 
   std::unique_ptr<Shard[]> Shards;
   uint32_t Mask;
-  /// Commit-thread-only canonical byte storage; see recordBytes().
+  /// Commit-step-only canonical byte storage; see recordBytes().
   Arena BytesArena;
   std::vector<ByteSpan> Spans;
 };

@@ -97,23 +97,22 @@ bool FaultPlan::parse(const std::string &Spec, FaultPlan &Out) {
 namespace {
 /// Executes a crash-class fault. Never returns normally: the process dies
 /// by the named signal, or spins until the supervisor's kill timer fires.
-/// The busy loop touches a volatile so the optimizer cannot elide it.
+/// The default SIGSEGV disposition is restored first, so an installed
+/// handler (AddressSanitizer's, for one) cannot turn the death by signal
+/// into an ordinary exit. The busy loop touches a volatile so the
+/// optimizer cannot elide it.
 [[noreturn]] void executeCrashFault(FaultKind K) {
-  if (K == FaultKind::Segv)
+  if (K == FaultKind::Segv) {
+    (void)std::signal(SIGSEGV, SIG_DFL);
     (void)raise(SIGSEGV);
-  else if (K == FaultKind::Kill)
+  } else if (K == FaultKind::Kill) {
     (void)raise(SIGKILL);
+  }
   volatile uint64_t Spin = 0;
   for (;;)
     Spin = Spin + 1;
 }
 } // namespace
-
-PhaseGuard::Outcome PhaseGuard::attempt(PhaseId P, Function &F) {
-  const uint64_t Nth =
-      Counts[static_cast<int>(P)].fetch_add(1, std::memory_order_relaxed) + 1;
-  return attemptNth(P, F, Nth);
-}
 
 PhaseGuard::Outcome PhaseGuard::attemptNth(PhaseId P, Function &F,
                                            uint64_t Nth) {

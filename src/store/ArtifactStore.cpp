@@ -96,10 +96,12 @@ uint64_t configFingerprint(const EnumeratorConfig &Config) {
   H = mix(H, Config.ParanoidCompare);
   H = mix(H, Config.NaiveReapply);
   H = mix(H, Config.RemapRegisters);
-  H = mix(H, Config.UseIndependencePruning);
-  for (int X = 0; X != NumPhases; ++X)
-    for (int Y = 0; Y != NumPhases; ++Y)
-      H = mix(H, Config.TrainedIndependence[X][Y]);
+  // Retired independence-pruning switch and its 15x15 trained matrix:
+  // mixed as the constants they always held in stored artifacts (off, all
+  // false), so every existing store key stays valid.
+  H = mix(H, false);
+  for (int I = 0; I != NumPhases * NumPhases; ++I)
+    H = mix(H, false);
   H = mix(H, Config.VerifyIr);
   // Injected verifier faults prune edges and wrong-code faults mutate
   // instances, so both shape the DAG like any other config switch; an

@@ -305,7 +305,7 @@ void encodeResult(ByteWriter &W, const EnumerationResult &Res) {
     W.u64(L.Active);
   }
   W.u64(Res.HashCollisions);
-  W.u64(Res.PredictedEdges);
+  W.u64(0); // Retired predicted-edge count; the slot keeps the layout.
   W.u64(Res.Diagnostics.size());
   for (const PhaseDiagnostic &D : Res.Diagnostics)
     encodeDiagnostic(W, D);
@@ -344,7 +344,7 @@ bool decodeResult(ByteReader &R, EnumerationResult &Res) {
     L.Active = R.u64();
   }
   Res.HashCollisions = R.u64();
-  Res.PredictedEdges = R.u64();
+  (void)R.u64(); // Retired predicted-edge count.
   size_t NDiags;
   if (!decodeCount(R, NDiags))
     return false;

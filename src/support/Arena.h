@@ -14,8 +14,8 @@
 /// enumeration.
 ///
 /// Not thread-safe by itself. The InstanceTable's concurrency contract
-/// (all inserts on the commit thread at the level barrier) means the
-/// arena never needs a lock on the enumeration hot path.
+/// (all inserts in the enumerator's commit step, under its commit mutex)
+/// means the arena never needs a lock of its own.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -16,8 +16,8 @@
 /// The pool is deliberately not a general task system: one parallelFor
 /// runs at a time, submitting from inside Body deadlocks by design, and
 /// determinism is the caller's job (each index must write only its own
-/// output slot; the parallel enumerator commits those slots in
-/// deterministic order at its level barrier).
+/// output slot; the enumerator commits those slots in frontier order
+/// under its own mutex as they finish).
 ///
 //===----------------------------------------------------------------------===//
 

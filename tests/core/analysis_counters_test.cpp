@@ -8,8 +8,8 @@
 // suite builds. The counts are deterministic, so any change that makes a
 // phase rebuild its dataflow more (or less) often shows up here exactly;
 // an intentional change updates the numbers. The counts must not depend
-// on timing at --jobs > 1, and counting from several threads at once must
-// be race-free (this test runs under TSan).
+// on the job count or on timing, and counting from several threads at
+// once must be race-free (this test runs under TSan).
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,22 +43,18 @@ AnalysisCounts enumerateSuite(unsigned Jobs) {
 
 // Recorded with one Cfg + Liveness per application of s, one per round
 // of h, and one Cfg per application of c. Before that rewrite the same
-// enumeration built 328923 Cfgs and 127630 Livenesses.
-constexpr uint64_t SeqCfgBuilds = 233809;
+// enumeration built 328923 Cfgs and 127630 Livenesses. The enumerator
+// hashes the control flow of an instance only when the commit inserts it
+// as a new node, so the counts are the same for every job count.
+constexpr uint64_t CfgBuilds = 233809;
 constexpr uint64_t LivenessBuilds = 52722;
-// The parallel engine hashes the control flow of every active result in
-// its workers, before the commit step drops same-level duplicates, so it
-// builds more Cfgs than the sequential engine. Liveness is built only
-// inside phases and matches exactly.
-constexpr uint64_t ParCfgBuilds = 248750;
 
 TEST(AnalysisCounters, SuiteEnumerationBuildsArePinned) {
-  const AnalysisCounts Seq = enumerateSuite(1);
-  EXPECT_EQ(Seq.CfgBuilds, SeqCfgBuilds);
-  EXPECT_EQ(Seq.LivenessBuilds, LivenessBuilds);
-  const AnalysisCounts Par = enumerateSuite(2);
-  EXPECT_EQ(Par.CfgBuilds, ParCfgBuilds);
-  EXPECT_EQ(Par.LivenessBuilds, LivenessBuilds);
+  for (unsigned Jobs : {1u, 2u}) {
+    const AnalysisCounts Counts = enumerateSuite(Jobs);
+    EXPECT_EQ(Counts.CfgBuilds, CfgBuilds) << "jobs=" << Jobs;
+    EXPECT_EQ(Counts.LivenessBuilds, LivenessBuilds) << "jobs=" << Jobs;
+  }
 }
 
 } // namespace

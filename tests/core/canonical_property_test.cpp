@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -132,9 +133,12 @@ bool mutateOneInstruction(Function &F, Rng &R) {
   const Site &S = Sites[R.below(Sites.size())];
   Rtl &I = F.Blocks.mut(S.Block).Insts[S.Inst];
   switch (S.Kind) {
-  case 0:
-    I.Src[S.Src] = Operand::imm(I.Src[S.Src].Value + 1);
+  case 0: {
+    // Step away from INT32_MAX instead of overflowing past it.
+    const int32_t V = I.Src[S.Src].Value;
+    I.Src[S.Src] = Operand::imm(V == INT32_MAX ? V - 1 : V + 1);
     break;
+  }
   case 1:
     I.Opcode = I.Opcode == Op::Add ? Op::Sub : Op::Add;
     break;

@@ -141,6 +141,12 @@ TEST(Interaction, Figure7IndependenceClaims) {
   EXPECT_DOUBLE_EQ(IA.independence(A, B), 0.0);
 }
 
+TEST(Interaction, AlwaysIndependentRequiresObservations) {
+  InteractionAnalysis Empty;
+  EXPECT_FALSE(Empty.alwaysIndependent(PhaseId::BranchChaining,
+                                       PhaseId::Cse));
+}
+
 TEST(Interaction, AccumulatesAcrossFunctions) {
   EnumerationResult R = figure7();
   InteractionAnalysis IA;

@@ -8,7 +8,7 @@
 // instances (Section 2: phase ordering changes the code, never the
 // semantics). The golden-space and fuzz suites check leaves; this one
 // samples random interior and leaf nodes of real workload DAGs — built
-// with the parallel engine — materializes each through DagPaths, swaps it
+// at four jobs — materializes each through DagPaths, swaps it
 // into the program, and compares a full simulator run against the
 // unoptimized baseline.
 //

@@ -135,8 +135,8 @@ TEST(CheckpointResume, ParallelMemoryLadderIsByteIdentical) {
 }
 
 TEST(CheckpointResume, MixedJobCountsAcrossSessionsAreByteIdentical) {
-  // A checkpoint written by one engine must resume under the other: the
-  // saved state is barrier state, which both engines share.
+  // A checkpoint written at one job count must resume under another: the
+  // saved state is barrier state, which does not depend on the threads.
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
   EnumerationResult Clean = cleanRun(F, {}, 1);
@@ -197,10 +197,10 @@ TEST(CheckpointResume, ParanoidModeSurvivesResume) {
 }
 
 TEST(CheckpointResume, ParanoidParallelFirstLadderIsByteIdentical) {
-  // The paranoid ladder above starts sequentially; this one starts on
-  // the parallel engine, so canonical-byte capture at the parallel
-  // barrier (hash-consed arena spans flattened into the codec's
-  // NodeBytes) and re-recording on a sequential resume are both crossed.
+  // The paranoid ladder above starts at one job; this one starts at
+  // four, so canonical-byte capture at a multi-threaded barrier
+  // (hash-consed arena spans flattened into the codec's NodeBytes) and
+  // re-recording on a single-threaded resume are both crossed.
   Module M = compileOrDie(SumSource);
   Function &F = functionNamed(M, "f");
   EnumeratorConfig Cfg;
@@ -219,7 +219,7 @@ TEST(CheckpointResume, DeepCopyBaselineModeIsExecutionOnly) {
   // DeepCopyInstances retains the pre-COW working-copy strategy for
   // bench_enumerate's baseline. It is execution-only by contract: DAG,
   // stats, accounting, and checkpoints must be byte-identical to the
-  // default COW mode on both engines — and a checkpoint written by the
+  // default COW mode at any job count — and a checkpoint written by the
   // COW default must resume under the baseline mode (and survive its own
   // interrupt ladder) without a byte of difference.
   Module M = compileOrDie(SumSource);
@@ -256,8 +256,8 @@ TEST(CheckpointResume, NaiveReapplyModeSurvivesResume) {
 }
 
 TEST(CheckpointResume, InjectedFaultCoordinatesSurviveResume) {
-  // Fault applications are numbered in sequential order across the whole
-  // run; the checkpoint seeds the counters so an injection scheduled
+  // Fault applications are numbered in frontier order across the whole
+  // run; the checkpoint carries the counters so an injection scheduled
   // after the interruption still fires on the same application.
   FaultPlan Plan;
   ASSERT_TRUE(FaultPlan::parse("s:1,c:2,d:3", Plan));
@@ -310,7 +310,7 @@ TEST(CheckpointResume, CancelledRunResumesToTheIdenticalResult) {
 
 TEST(CheckpointResume, DeadlineInterruptionsResumeToTheIdenticalResult) {
   // The acceptance scenario: a run stopped by --deadline-ms, resumed until
-  // done, must equal the uninterrupted run — for both engines. The
+  // done, must equal the uninterrupted run — at one job and at four. The
   // deadline doubles each leg so even a slow CI machine converges.
   const Workload *W = findWorkload("bitcount");
   ASSERT_NE(W, nullptr);

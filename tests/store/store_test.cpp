@@ -159,6 +159,25 @@ TEST(ArtifactStore, CrashClassFaultsShareAFingerprint) {
   EXPECT_NE(configFingerprint(A), configFingerprint(C));
 }
 
+TEST(ArtifactStore, ConfigFingerprintValuesArePinned) {
+  // Every stored artifact is keyed by these values. A change here
+  // orphans every existing store, so it must be deliberate — retired
+  // config fields keep mixing the constants they always had.
+  EXPECT_EQ(configFingerprint(EnumeratorConfig{}), 0x56a35c4bbe239c74ull);
+
+  FaultPlan Plan;
+  ASSERT_TRUE(FaultPlan::parse("c:3,s:1:wrongcode,d:2:segv", Plan));
+  EnumeratorConfig C;
+  C.MaxLevelSequences = 1000;
+  C.MaxTotalNodes = 8000;
+  C.ParanoidCompare = true;
+  C.NaiveReapply = true;
+  C.RemapRegisters = false;
+  C.VerifyIr = true;
+  C.Faults = &Plan;
+  EXPECT_EQ(configFingerprint(C), 0xd3a65ed4f8243546ull);
+}
+
 TEST(ArtifactStore, QuarantineLifecycle) {
   Fixture FX;
   ArtifactStore Store(freshDir("quarantine"));
