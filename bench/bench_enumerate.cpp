@@ -15,8 +15,9 @@
 //
 // A deep-vs-COW instance copy microbenchmark isolates the mechanism.
 //
-// Both enumeration benchmarks also report how many Cfg and Liveness
-// analyses one pass builds (cfg_builds, liveness_builds). These counts are
+// Both enumeration benchmarks also report how many Cfg, Liveness,
+// Dominators and LoopInfo analyses one pass builds (cfg_builds,
+// liveness_builds, dominators_builds, loopinfo_builds). These counts are
 // deterministic, so the counters section of baseline_ratios.json gates
 // them exactly.
 //
@@ -81,6 +82,10 @@ void runEnumerate(benchmark::State &State, bool DeepCopy) {
   State.counters["cfg_builds"] = static_cast<double>(Built.CfgBuilds);
   State.counters["liveness_builds"] =
       static_cast<double>(Built.LivenessBuilds);
+  State.counters["dominators_builds"] =
+      static_cast<double>(Built.DominatorsBuilds);
+  State.counters["loopinfo_builds"] =
+      static_cast<double>(Built.LoopInfoBuilds);
   State.counters["nodes_per_sec"] = benchmark::Counter(
       static_cast<double>(Nodes * State.iterations()),
       benchmark::Counter::kIsRate);

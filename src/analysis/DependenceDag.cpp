@@ -8,16 +8,32 @@
 
 #include "src/ir/Function.h"
 
-#include <map>
+#include <algorithm>
 
 using namespace pose;
 
-std::vector<std::set<size_t>> pose::blockDependences(const BasicBlock &B) {
+std::vector<std::vector<size_t>>
+pose::blockDependences(const BasicBlock &B) {
   const size_t N = B.Insts.size();
-  std::vector<std::set<size_t>> Preds(N);
+  std::vector<std::vector<size_t>> Preds(N);
+
+  // Dense block-local register indices: the registers of the block, sorted.
+  std::vector<RegNum> Regs;
+  for (const Rtl &I : B.Insts) {
+    I.forEachUsedReg([&Regs](RegNum R) { Regs.push_back(R); });
+    if (I.definesReg())
+      Regs.push_back(I.Dst.getReg());
+  }
+  std::sort(Regs.begin(), Regs.end());
+  Regs.erase(std::unique(Regs.begin(), Regs.end()), Regs.end());
+  auto Index = [&Regs](RegNum R) {
+    return static_cast<size_t>(std::lower_bound(Regs.begin(), Regs.end(), R) -
+                               Regs.begin());
+  };
+
   // Last writer / readers per register, tracked by scanning forward.
-  std::map<RegNum, size_t> LastDef;
-  std::map<RegNum, std::vector<size_t>> ReadersSinceDef;
+  std::vector<size_t> LastDef(Regs.size(), SIZE_MAX);
+  std::vector<std::vector<size_t>> ReadersSinceDef(Regs.size());
   size_t LastIC = SIZE_MAX;
   std::vector<size_t> ICReadersSince;
   size_t LastMemWrite = SIZE_MAX; // Store or Call.
@@ -25,25 +41,31 @@ std::vector<std::set<size_t>> pose::blockDependences(const BasicBlock &B) {
 
   for (size_t J = 0; J != N; ++J) {
     const Rtl &I = B.Insts[J];
+    std::vector<size_t> &P = Preds[J];
+    // Control transfers stay last: every earlier instruction precedes
+    // them, and nothing may move past them (they are block-final anyway).
+    if (I.isControl())
+      for (size_t K = 0; K != J; ++K)
+        P.push_back(K);
     // RAW on registers.
     I.forEachUsedReg([&](RegNum R) {
-      auto It = LastDef.find(R);
-      if (It != LastDef.end())
-        Preds[J].insert(It->second);
-      ReadersSinceDef[R].push_back(J);
+      const size_t X = Index(R);
+      if (LastDef[X] != SIZE_MAX)
+        P.push_back(LastDef[X]);
+      ReadersSinceDef[X].push_back(J);
     });
     // IC dependences.
     if (I.usesIC()) {
       if (LastIC != SIZE_MAX)
-        Preds[J].insert(LastIC);
+        P.push_back(LastIC);
       ICReadersSince.push_back(J);
     }
     if (I.definesIC()) {
       if (LastIC != SIZE_MAX)
-        Preds[J].insert(LastIC); // WAW on IC.
+        P.push_back(LastIC); // WAW on IC.
       for (size_t R : ICReadersSince)
         if (R != J)
-          Preds[J].insert(R); // WAR on IC.
+          P.push_back(R); // WAR on IC.
       ICReadersSince.clear();
       LastIC = J;
     }
@@ -54,36 +76,31 @@ std::vector<std::set<size_t>> pose::blockDependences(const BasicBlock &B) {
     const bool MemRead = I.Opcode == Op::Load;
     if (MemRead) {
       if (LastMemWrite != SIZE_MAX)
-        Preds[J].insert(LastMemWrite);
+        P.push_back(LastMemWrite);
       MemReadsSince.push_back(J);
     }
     if (MemWrite) {
       if (LastMemWrite != SIZE_MAX)
-        Preds[J].insert(LastMemWrite);
+        P.push_back(LastMemWrite);
       for (size_t R : MemReadsSince)
         if (R != J)
-          Preds[J].insert(R);
+          P.push_back(R);
       MemReadsSince.clear();
       LastMemWrite = J;
     }
     // Register WAR and WAW.
     if (I.definesReg()) {
-      RegNum D = I.Dst.getReg();
-      auto It = LastDef.find(D);
-      if (It != LastDef.end())
-        Preds[J].insert(It->second);
-      for (size_t R : ReadersSinceDef[D])
+      const size_t X = Index(I.Dst.getReg());
+      if (LastDef[X] != SIZE_MAX)
+        P.push_back(LastDef[X]);
+      for (size_t R : ReadersSinceDef[X])
         if (R != J)
-          Preds[J].insert(R);
-      ReadersSinceDef[D].clear();
-      LastDef[D] = J;
+          P.push_back(R);
+      ReadersSinceDef[X].clear();
+      LastDef[X] = J;
     }
-    // Control transfers stay last: every earlier instruction precedes
-    // them, and nothing may move past them (they are block-final anyway).
-    if (I.isControl())
-      for (size_t K = 0; K != J; ++K)
-        Preds[J].insert(K);
+    std::sort(P.begin(), P.end());
+    P.erase(std::unique(P.begin(), P.end()), P.end());
   }
   return Preds;
 }
-

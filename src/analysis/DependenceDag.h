@@ -18,16 +18,16 @@
 #define POSE_ANALYSIS_DEPENDENCEDAG_H
 
 #include <cstddef>
-#include <set>
 #include <vector>
 
 namespace pose {
 
 struct BasicBlock;
 
-/// Returns, for each instruction index J of \p B, the set of earlier
-/// indices that must stay before J under any legal reordering.
-std::vector<std::set<size_t>> blockDependences(const BasicBlock &B);
+/// Returns, for each instruction index J of \p B, the earlier indices
+/// that must stay before J under any legal reordering, sorted ascending
+/// and without duplicates.
+std::vector<std::vector<size_t>> blockDependences(const BasicBlock &B);
 
 } // namespace pose
 

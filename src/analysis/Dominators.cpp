@@ -6,9 +6,12 @@
 
 #include "src/analysis/Dominators.h"
 
+#include "src/ir/AnalysisCounts.h"
+
 using namespace pose;
 
 Dominators::Dominators(const Function &F, const Cfg &C) {
+  countAnalysisBuild(AnalysisKind::Dominators);
   const size_t N = F.Blocks.size();
 
   // Reachability first: unreachable blocks get empty dominator sets and are

@@ -7,6 +7,7 @@
 #include "src/analysis/Loops.h"
 
 #include "src/analysis/Dominators.h"
+#include "src/ir/AnalysisCounts.h"
 
 #include <algorithm>
 #include <map>
@@ -15,6 +16,7 @@
 using namespace pose;
 
 LoopInfo::LoopInfo(const Function &F, const Cfg &C, const Dominators &D) {
+  countAnalysisBuild(AnalysisKind::LoopInfo);
   const size_t N = F.Blocks.size();
 
   // Collect back edges: Tail -> Head where Head dominates Tail.

@@ -17,6 +17,7 @@
 
 #include "src/core/Canonical.h"
 
+#include "src/analysis/AnalysisCache.h"
 #include "src/ir/Function.h"
 #include "src/support/Crc32.h"
 
@@ -424,7 +425,7 @@ CanonicalForm pose::canonicalizeReference(const Function &F, bool KeepBytes,
 
 uint64_t pose::controlFlowHash(const Function &F) {
   // FNV-1a over (block ordinal, successor ordinals) of non-empty blocks.
-  Cfg C = Cfg::build(F);
+  const std::shared_ptr<const Cfg> C = cfgOf(F);
   std::vector<uint32_t> Ordinal(F.Blocks.size());
   uint32_t Next = 0;
   for (size_t I = 0; I != F.Blocks.size(); ++I)
@@ -441,7 +442,7 @@ uint64_t pose::controlFlowHash(const Function &F) {
     if (F.Blocks[I].empty())
       continue;
     Mix(Ordinal[I]);
-    for (int S : C.Succs[I]) {
+    for (int S : C->Succs[I]) {
       // Resolve empty successors forward to the next real block.
       size_t T = static_cast<size_t>(S);
       while (T < F.Blocks.size() && F.Blocks[T].empty())

@@ -416,6 +416,7 @@ EnumerationResult Enumerator::run(const Function &Root,
             NE.Path.push_back(A.P);
           } else {
             NE.Instance = std::move(A.Instance);
+            NE.Instance.Blocks.detachAnalyses();
           }
           NE.State = A.State;
           NE.IncomingMask = Bit;
@@ -453,7 +454,7 @@ EnumerationResult Enumerator::run(const Function &Root,
     };
 
     Pool.parallelFor(N, [&](size_t I) {
-      const FrontierEntry &E = Frontier[I];
+      FrontierEntry &E = Frontier[I];
       TaskResult &T = Results[I];
       PhaseGuard Guard(PM, GuardOpts);
       // Per-thread scratch: canonicalization of every attempt this thread
@@ -467,6 +468,14 @@ EnumerationResult Enumerator::run(const Function &Root,
       // deep copy serves consecutive attempts and is rebuilt only after a
       // phase consumed it (active) or mutated it while reporting dormant.
       // Naive mode replays the whole prefix from the root.
+      //
+      // The entry carries one analysis cell for the length of its
+      // expansion. Every working copy shares it until the copy mutates,
+      // so the Cfg, Liveness, Dominators and LoopInfo of the unchanged
+      // parent are built at most once across all sibling attempts; an
+      // active child keeps its own cell only until the commit moves it
+      // into the next frontier.
+      E.Instance.Blocks.attachAnalyses();
       Function Work;
       bool WorkValid = false;
       for (int PI = 0; PI != NumPhases; ++PI) {
@@ -524,6 +533,7 @@ EnumerationResult Enumerator::run(const Function &Root,
         T.Active.push_back(std::move(A));
       }
       T.Diags = Guard.takeDiagnostics();
+      E.Instance.Blocks.detachAnalyses();
 
       std::lock_guard<std::mutex> Lock(CommitMutex);
       Done[I] = 1;

@@ -6,7 +6,7 @@
 
 #include "src/core/SpaceStats.h"
 
-#include "src/analysis/Dominators.h"
+#include "src/analysis/AnalysisCache.h"
 #include "src/analysis/Loops.h"
 #include "src/ir/Function.h"
 
@@ -24,12 +24,7 @@ SpaceStats pose::computeSpaceStats(const Function &F,
   for (const BasicBlock &B : F.Blocks)
     for (const Rtl &I : B.Insts)
       S.Branches += (I.Opcode == Op::Branch || I.Opcode == Op::Jump);
-  {
-    Cfg C = Cfg::build(F);
-    Dominators D(F, C);
-    LoopInfo LI(F, C, D);
-    S.Loops = static_cast<uint32_t>(LI.count());
-  }
+  S.Loops = static_cast<uint32_t>(loopsOf(F)->count());
 
   S.Stop = R.Stop;
   S.FnInstances = R.Nodes.size();

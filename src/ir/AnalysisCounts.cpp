@@ -68,5 +68,7 @@ AnalysisCounts pose::analysisBuildTotals() {
       Sum[K] += S->N[K].load(std::memory_order_relaxed);
   }
   return {Sum[static_cast<int>(AnalysisKind::Cfg)],
-          Sum[static_cast<int>(AnalysisKind::Liveness)]};
+          Sum[static_cast<int>(AnalysisKind::Liveness)],
+          Sum[static_cast<int>(AnalysisKind::Dominators)],
+          Sum[static_cast<int>(AnalysisKind::LoopInfo)]};
 }

@@ -26,16 +26,20 @@
 namespace pose {
 
 /// The analyses whose constructions are counted.
-enum class AnalysisKind : uint8_t { Cfg, Liveness };
-constexpr int NumAnalysisKinds = 2;
+enum class AnalysisKind : uint8_t { Cfg, Liveness, Dominators, LoopInfo };
+constexpr int NumAnalysisKinds = 4;
 
 /// Process-wide build totals.
 struct AnalysisCounts {
   uint64_t CfgBuilds = 0;
   uint64_t LivenessBuilds = 0;
+  uint64_t DominatorsBuilds = 0;
+  uint64_t LoopInfoBuilds = 0;
 
   AnalysisCounts operator-(const AnalysisCounts &O) const {
-    return {CfgBuilds - O.CfgBuilds, LivenessBuilds - O.LivenessBuilds};
+    return {CfgBuilds - O.CfgBuilds, LivenessBuilds - O.LivenessBuilds,
+            DominatorsBuilds - O.DominatorsBuilds,
+            LoopInfoBuilds - O.LoopInfoBuilds};
   }
 };
 

@@ -12,7 +12,24 @@
 
 using namespace pose;
 
+void detail::CellRef::attach() {
+  if (!C)
+    C = new AnalysisCell();
+}
+
+void detail::CellRef::invalidateAttached() {
+  if (C->Refs.load(std::memory_order_acquire) == 1) {
+    C->clear();
+    return;
+  }
+  release();
+  C = new AnalysisCell();
+}
+
+void detail::CellRef::destroy(AnalysisCell *C) { delete C; }
+
 void BlockList::rotate(size_t First, size_t Middle, size_t Last) {
+  Cell.invalidate();
   std::rotate(H.begin() + static_cast<std::ptrdiff_t>(First),
               H.begin() + static_cast<std::ptrdiff_t>(Middle),
               H.begin() + static_cast<std::ptrdiff_t>(Last));
@@ -35,6 +52,7 @@ void Function::recomputeCounters() {
         Visit(A);
     }
   }
+  Blocks.invalidateAnalyses();
   NextPseudo = MaxReg;
   NextLabel = MaxLabel;
 }

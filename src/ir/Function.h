@@ -21,6 +21,13 @@
 /// and every mutation is an explicit call (mut(), eraseAt(), ...), so a
 /// phase cannot unshare storage by accident.
 ///
+/// The same mutation points keep an optional analysis cache honest: a
+/// BlockList may carry a refcounted cell holding the Cfg, Liveness,
+/// Dominators and LoopInfo built for its current blocks (src/analysis/
+/// AnalysisCache.h reads and fills it). Copies share the cell, so the
+/// sibling attempts on one enumeration entry build each analysis of the
+/// unchanged parent once; every mutator invalidates it first.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef POSE_IR_FUNCTION_H
@@ -31,6 +38,7 @@
 #include <atomic>
 #include <cstddef>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,7 +72,93 @@ struct BasicBlock {
   }
 };
 
+struct Cfg;
+class Liveness;
+class Dominators;
+class LoopInfo;
+
 namespace detail {
+
+/// The analyses built for one block sequence, shared by every BlockList
+/// copy that still has those exact blocks. Slots are shared_ptr so that a
+/// phase may keep reading an analysis it fetched after its own edits have
+/// invalidated the cell (the analysis is then stale, exactly as a local
+/// one would be).
+struct AnalysisCell {
+  mutable std::atomic<uint32_t> Refs{1};
+  std::shared_ptr<const Cfg> Graph;
+  std::shared_ptr<const Liveness> Live;
+  std::shared_ptr<const Dominators> Dom;
+  std::shared_ptr<const LoopInfo> Loops;
+
+  bool empty() const { return !Graph && !Live && !Dom && !Loops; }
+  void clear() {
+    Graph.reset();
+    Live.reset();
+    Dom.reset();
+    Loops.reset();
+  }
+};
+
+/// Refcounted handle to an AnalysisCell (null when none is attached).
+/// The count is atomic because the last two owners of a cell (a buffered
+/// child instance and the entry it came from) may be dropped by different
+/// pool threads; the slots themselves are only ever touched by the one
+/// task that expands the entry, so they need no lock.
+class CellRef {
+public:
+  CellRef() = default;
+  CellRef(const CellRef &O) : C(O.C) { retain(); }
+  CellRef(CellRef &&O) noexcept : C(O.C) { O.C = nullptr; }
+  CellRef &operator=(const CellRef &O) {
+    if (C != O.C) {
+      release();
+      C = O.C;
+      retain();
+    }
+    return *this;
+  }
+  CellRef &operator=(CellRef &&O) noexcept {
+    if (this != &O) {
+      release();
+      C = O.C;
+      O.C = nullptr;
+    }
+    return *this;
+  }
+  ~CellRef() { release(); }
+
+  AnalysisCell *get() const { return C; }
+  void attach();
+  void detach() {
+    release();
+    C = nullptr;
+  }
+  /// Forgets every cached analysis for this handle only: a shared cell is
+  /// swapped for a fresh private one (the other handles keep theirs), a
+  /// private one is cleared in place.
+  void invalidate() {
+    if (C)
+      invalidateAttached();
+  }
+
+private:
+  // Out of line, with destroy(), so the many mutator and destructor call
+  // sites inline only a null test and a count.
+  void invalidateAttached();
+  static void destroy(AnalysisCell *C);
+
+  void retain() {
+    if (C)
+      C->Refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void release() {
+    if (C && C->Refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      destroy(C);
+  }
+
+  AnalysisCell *C = nullptr;
+};
 
 /// Refcounted box around one basic block. The count is atomic because the
 /// parallel enumerator's workers copy and drop handles to the same shared
@@ -149,6 +243,10 @@ private:
 /// structural operations (eraseAt, insertAt, rotate, ...) otherwise —
 /// so every site that can materialize a block is visible in the source.
 /// There is deliberately no mutable operator[] or mutable iteration.
+///
+/// Every mutator invalidates the analysis cell (if one is attached)
+/// before it returns. A reference obtained from mut() must therefore not
+/// be written through after an analysis of this list was fetched again.
 class BlockList {
 public:
   class const_iterator {
@@ -203,21 +301,38 @@ public:
   const_iterator end() const { return const_iterator(H.data() + H.size()); }
 
   /// Writable body of block \p I, unsharing it first if needed.
-  BasicBlock &mut(size_t I) { return H[I].mut(); }
-  BasicBlock &mutBack() { return H.back().mut(); }
+  BasicBlock &mut(size_t I) {
+    Cell.invalidate();
+    return H[I].mut();
+  }
+  BasicBlock &mutBack() {
+    Cell.invalidate();
+    return H.back().mut();
+  }
 
-  void push_back(BasicBlock B) { H.emplace_back(std::move(B)); }
+  void push_back(BasicBlock B) {
+    Cell.invalidate();
+    H.emplace_back(std::move(B));
+  }
   /// Appends a fresh (necessarily unique) block and returns its body.
   BasicBlock &emplace_back(int32_t Label) {
+    Cell.invalidate();
     H.emplace_back(Label);
     return H.back().mut();
   }
-  void pop_back() { H.pop_back(); }
-  void clear() { H.clear(); }
+  void pop_back() {
+    Cell.invalidate();
+    H.pop_back();
+  }
+  void clear() {
+    Cell.invalidate();
+    H.clear();
+  }
   void reserve(size_t C) { H.reserve(C); }
   /// Shrinks, or grows with fresh empty blocks (deserialization fills
   /// them in via mut()).
   void resize(size_t N) {
+    Cell.invalidate();
     if (N <= H.size()) {
       H.resize(N);
       return;
@@ -228,14 +343,17 @@ public:
   }
 
   void eraseAt(size_t I) {
+    Cell.invalidate();
     H.erase(H.begin() + static_cast<std::ptrdiff_t>(I));
   }
   /// Erases blocks [\p B, \p E).
   void eraseRange(size_t B, size_t E) {
+    Cell.invalidate();
     H.erase(H.begin() + static_cast<std::ptrdiff_t>(B),
             H.begin() + static_cast<std::ptrdiff_t>(E));
   }
   void insertAt(size_t I, BasicBlock B) {
+    Cell.invalidate();
     H.insert(H.begin() + static_cast<std::ptrdiff_t>(I),
              BlockHandle(std::move(B)));
   }
@@ -250,14 +368,30 @@ public:
   bool uniqueAt(size_t I) const { return H[I].unique(); }
 
   /// Materializes every shared block (the deep-copy baseline the
-  /// enumerate-throughput bench compares against).
+  /// enumerate-throughput bench compares against). The bytes do not
+  /// change, so the analysis cell stays valid and stays shared.
   void unshareAll() {
     for (BlockHandle &X : H)
       X.mut();
   }
 
+  /// Scopes an analysis cell to this list and the copies made from it
+  /// from now on; a no-op when one is attached already. Cells are never
+  /// attached implicitly: whoever attaches one decides how long cached
+  /// analyses may live (see docs/PERFORMANCE.md, "analysis cache").
+  void attachAnalyses() { Cell.attach(); }
+  /// Drops this list's reference to its cell (copies keep theirs).
+  void detachAnalyses() { Cell.detach(); }
+  /// The attached cell, or nullptr. Read and filled only through the
+  /// accessors of src/analysis/AnalysisCache.h.
+  detail::AnalysisCell *analyses() const { return Cell.get(); }
+  /// Forgets the cached analyses of this list (for a change the list
+  /// cannot see, such as a wider register universe).
+  void invalidateAnalyses() { Cell.invalidate(); }
+
 private:
   std::vector<BlockHandle> H;
+  detail::CellRef Cell;
 };
 
 /// Static description of one stack slot (local variable, parameter, or
@@ -385,17 +519,24 @@ struct PhaseState {
 /// copies share block and slot storage copy-on-write.
 class Function {
 public:
+  // Members are ordered so the small scalars pack behind the block list:
+  // sizeof(Function) enters the enumerator's deterministic frontier
+  // accounting, which the analysis-cell handle must not move.
   std::string Name;
+  SlotList Slots;
+  BlockList Blocks;
   /// Number of leading slots that are parameters (slot i = parameter i).
   int32_t NumParams = 0;
   /// True if the function returns a value.
   bool ReturnsValue = false;
-  SlotList Slots;
-  BlockList Blocks;
   PhaseState State;
 
-  /// Allocates a fresh pseudo register.
-  RegNum makePseudo() { return NextPseudo++; }
+  /// Allocates a fresh pseudo register. Invalidates the cached analyses:
+  /// the Liveness register universe follows pseudoLimit().
+  RegNum makePseudo() {
+    Blocks.invalidateAnalyses();
+    return NextPseudo++;
+  }
 
   /// Returns one past the highest pseudo register ever allocated.
   RegNum pseudoLimit() const { return NextPseudo; }
@@ -460,6 +601,7 @@ public:
   /// "past every number still used", which is weaker when an allocated
   /// number was later optimized away.
   void setAllocationCounters(RegNum PseudoLimit, int32_t LabelLimit) {
+    Blocks.invalidateAnalyses();
     NextPseudo = PseudoLimit;
     NextLabel = LabelLimit;
   }

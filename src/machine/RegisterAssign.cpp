@@ -6,6 +6,7 @@
 
 #include "src/machine/RegisterAssign.h"
 
+#include "src/analysis/AnalysisCache.h"
 #include "src/analysis/Liveness.h"
 #include "src/ir/Function.h"
 #include "src/machine/Target.h"
@@ -67,8 +68,8 @@ void spillPseudo(Function &F, RegNum Victim, std::set<RegNum> &NoSpill) {
 /// otherwise sets \p SpillCandidate to a pseudo to spill.
 bool tryColor(const Function &F, std::map<RegNum, RegNum> &Color,
               RegNum &SpillCandidate, const std::set<RegNum> &NoSpill) {
-  Cfg C = Cfg::build(F);
-  Liveness LV(F, C);
+  const std::shared_ptr<const Liveness> LVP = livenessOf(F);
+  const Liveness &LV = *LVP;
 
   // Interference sets, def-point construction: the destination of every
   // instruction interferes with everything live just after it.

@@ -34,7 +34,7 @@ bool readsResultOf(const Rtl &Consumer, const Rtl &Producer) {
 /// was a load. Ties break toward original order (determinism).
 std::vector<size_t> scheduleBlock(const BasicBlock &B) {
   const size_t N = B.Insts.size();
-  std::vector<std::set<size_t>> Preds = blockDependences(B);
+  const std::vector<std::vector<size_t>> Preds = blockDependences(B);
   std::vector<int> Pending(N, 0);
   std::vector<std::vector<size_t>> Succs(N);
   for (size_t J = 0; J != N; ++J) {

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/analysis/AnalysisCache.h"
 #include "src/ir/Function.h"
 #include "src/opt/Phases.h"
 
@@ -43,7 +44,7 @@ bool BlockReorderingPhase::apply(Function &F) const {
   bool Progress = true;
   while (Progress) {
     Progress = false;
-    Cfg C = Cfg::build(F);
+    const std::shared_ptr<const Cfg> C = cfgOf(F);
     for (size_t AI = 0; AI != F.Blocks.size(); ++AI) {
       const Rtl *T = F.Blocks[AI].terminator();
       if (!T || T->Opcode != Op::Jump)
@@ -53,7 +54,7 @@ bool BlockReorderingPhase::apply(Function &F) const {
       size_t L = static_cast<size_t>(LI);
       if (L == AI || L == AI + 1)
         continue; // Self-loop, or useless jump (phase u's business).
-      if (L == 0 || C.Preds[L].size() != 1)
+      if (L == 0 || C->Preds[L].size() != 1)
         continue;
       // L may not be entered by fall-through from its layout predecessor
       // (its single predecessor is A, and A jumps, so this holds unless

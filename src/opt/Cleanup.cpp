@@ -6,7 +6,7 @@
 
 #include "src/opt/Cleanup.h"
 
-#include "src/ir/Function.h"
+#include "src/analysis/AnalysisCache.h"
 
 using namespace pose;
 
@@ -55,9 +55,10 @@ bool mergeFallThroughPairs(Function &F) {
       ++I;
       continue;
     }
-    Cfg C = Cfg::build(F);
     // The fall-through successor must have A as its only predecessor.
-    if (C.Preds[I + 1].size() != 1) {
+    // Between merges the blocks do not change, so every examined block
+    // reads the same cached Cfg.
+    if (cfgOf(F)->Preds[I + 1].size() != 1) {
       ++I;
       continue;
     }
@@ -89,14 +90,14 @@ bool pose::cleanupCfg(Function &F) {
 }
 
 bool pose::removeUnreachableBlocks(Function &F) {
-  Cfg C = Cfg::build(F);
+  const std::shared_ptr<const Cfg> C = cfgOf(F);
   std::vector<bool> Reached(F.Blocks.size(), false);
   std::vector<size_t> Work{0};
   Reached[0] = true;
   while (!Work.empty()) {
     size_t B = Work.back();
     Work.pop_back();
-    for (int S : C.Succs[B])
+    for (int S : C->Succs[B])
       if (!Reached[S]) {
         Reached[S] = true;
         Work.push_back(static_cast<size_t>(S));

@@ -19,6 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/analysis/AnalysisCache.h"
 #include "src/ir/Function.h"
 #include "src/opt/Phases.h"
 
@@ -40,9 +41,9 @@ size_t commonSuffix(const BasicBlock &A, const BasicBlock &B) {
 
 /// One round of cross-jumping; returns true if a transformation fired.
 bool crossJumpOnce(Function &F) {
-  Cfg C = Cfg::build(F);
+  const std::shared_ptr<const Cfg> C = cfgOf(F);
   for (size_t J = 0; J != F.Blocks.size(); ++J) {
-    const std::vector<int> &Preds = C.Preds[J];
+    const std::vector<int> &Preds = C->Preds[J];
     if (Preds.size() < 2)
       continue;
     for (size_t X = 0; X != Preds.size(); ++X) {
@@ -90,7 +91,8 @@ bool crossJumpOnce(Function &F) {
 
 /// One round of hoisting; returns true if a transformation fired.
 bool hoistOnce(Function &F) {
-  Cfg C = Cfg::build(F);
+  const std::shared_ptr<const Cfg> CP = cfgOf(F);
+  const Cfg &C = *CP;
   for (size_t P = 0; P != F.Blocks.size(); ++P) {
     const BasicBlock &B = F.Blocks[P];
     // Need the canonical [..., cmp, branch] two-way ending.

@@ -27,6 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/analysis/AnalysisCache.h"
 #include "src/ir/Function.h"
 #include "src/machine/Target.h"
 #include "src/opt/Phases.h"
@@ -482,7 +483,8 @@ bool cseAvailableExpressions(Function &F, const Cfg &C, size_t NumRegs) {
 bool CsePhase::apply(Function &F) const {
   assert(F.State.RegsAssigned &&
          "CSE requires register assignment (PhaseManager enforces this)");
-  const Cfg C = Cfg::build(F);
+  const std::shared_ptr<const Cfg> CP = cfgOf(F);
+  const Cfg &C = *CP;
   const size_t NumRegs = registerUniverse(F);
   bool Changed = false;
   bool Progress = true;

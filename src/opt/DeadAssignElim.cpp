@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/analysis/AnalysisCache.h"
 #include "src/analysis/Liveness.h"
 #include "src/ir/Function.h"
 #include "src/opt/Phases.h"
@@ -29,12 +30,11 @@ bool DeadAssignElimPhase::apply(Function &F) const {
   bool Progress = true;
   while (Progress) {
     Progress = false;
-    const Cfg C = Cfg::build(F);
-    const Liveness LV(F, C);
-    const size_t IC = LV.icIndex();
+    const std::shared_ptr<const Liveness> LV = livenessOf(F);
+    const size_t IC = LV->icIndex();
     for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
       BasicBlock *MB = nullptr; // Materialized on the first deletion.
-      BitVector Live = LV.liveOut(BI);
+      BitVector Live = LV->liveOut(BI);
       for (size_t J = F.Blocks[BI].Insts.size(); J-- > 0;) {
         const Rtl &I = MB ? MB->Insts[J] : F.Blocks[BI].Insts[J];
         bool Dead = false;

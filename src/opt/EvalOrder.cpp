@@ -16,24 +16,28 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/analysis/AnalysisCache.h"
 #include "src/analysis/DependenceDag.h"
 #include "src/analysis/Liveness.h"
 #include "src/ir/Function.h"
 #include "src/opt/Phases.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
 
 using namespace pose;
 
 namespace {
 
 /// Greedy schedule of one block. Returns the new order (indices into the
-/// original instruction vector).
-std::vector<size_t> scheduleBlock(const Function &F, const BasicBlock &B,
-                                  const BitVector &LiveOut) {
+/// original instruction vector). \p UsesLeft is all-zero scratch with one
+/// entry per register of the function; every count taken here is
+/// consumed by the time the schedule is complete, so it comes back
+/// all-zero.
+std::vector<size_t> scheduleBlock(const BasicBlock &B,
+                                  const BitVector &LiveOut,
+                                  std::vector<int> &UsesLeft) {
   const size_t N = B.Insts.size();
-  std::vector<std::set<size_t>> Preds = blockDependences(B);
+  const std::vector<std::vector<size_t>> Preds = blockDependences(B);
   std::vector<int> PendingPreds(N, 0);
   std::vector<std::vector<size_t>> Succs(N);
   for (size_t J = 0; J != N; ++J) {
@@ -43,49 +47,54 @@ std::vector<size_t> scheduleBlock(const Function &F, const BasicBlock &B,
   }
   // Remaining use counts per register, to know when an instruction's
   // operand dies (its last use in this block and not live out).
-  std::map<RegNum, int> UsesLeft;
   for (const Rtl &I : B.Insts)
     I.forEachUsedReg([&](RegNum R) { ++UsesLeft[R]; });
 
-  std::set<size_t> Ready;
+  std::vector<size_t> Ready;
   for (size_t J = 0; J != N; ++J)
     if (PendingPreds[J] == 0)
-      Ready.insert(J);
+      Ready.push_back(J);
 
   std::vector<size_t> Order;
   Order.reserve(N);
+  std::vector<RegNum> Seen;
   while (!Ready.empty()) {
     // Score = registers freed minus registers created; higher is better.
-    size_t Best = SIZE_MAX;
+    size_t Best = SIZE_MAX, BestAt = 0;
     int BestScore = INT32_MIN;
-    for (size_t J : Ready) {
+    for (size_t K = 0; K != Ready.size(); ++K) {
+      const size_t J = Ready[K];
       const Rtl &I = B.Insts[J];
       int Freed = 0;
-      std::set<RegNum> Seen;
+      Seen.clear();
       I.forEachUsedReg([&](RegNum R) {
-        if (!Seen.insert(R).second)
+        if (std::find(Seen.begin(), Seen.end(), R) != Seen.end())
           return;
-        if (UsesLeft.at(R) == 1 && !LiveOut.test(R) &&
+        Seen.push_back(R);
+        if (UsesLeft[R] == 1 && !LiveOut.test(R) &&
             !(I.definesReg() && I.Dst.getReg() == R))
           ++Freed;
       });
       int Created = I.definesReg() ? 1 : 0;
       int Score = Freed - Created;
       // Prefer higher score; break ties toward original program order so
-      // the schedule is deterministic and respects source structure.
+      // the schedule is deterministic and respects source structure. The
+      // explicit index tie-break makes the result independent of the
+      // order of Ready.
       if (Score > BestScore || (Score == BestScore && J < Best)) {
         BestScore = Score;
         Best = J;
+        BestAt = K;
       }
     }
-    Ready.erase(Best);
+    Ready[BestAt] = Ready.back();
+    Ready.pop_back();
     Order.push_back(Best);
     B.Insts[Best].forEachUsedReg([&](RegNum R) { --UsesLeft[R]; });
     for (size_t S : Succs[Best])
       if (--PendingPreds[S] == 0)
-        Ready.insert(S);
+        Ready.push_back(S);
   }
-  (void)F;
   assert(Order.size() == N && "dependence cycle in a basic block");
   return Order;
 }
@@ -97,13 +106,13 @@ bool EvalOrderPhase::apply(Function &F) const {
          "evaluation order determination is illegal after register "
          "assignment");
   bool Changed = false;
-  Cfg C = Cfg::build(F);
-  Liveness LV(F, C);
+  const std::shared_ptr<const Liveness> LV = livenessOf(F);
+  std::vector<int> UsesLeft(LV->numRegs(), 0);
   for (size_t BI = 0; BI != F.Blocks.size(); ++BI) {
     const BasicBlock &B = F.Blocks[BI];
     if (B.Insts.size() < 3)
       continue;
-    std::vector<size_t> Order = scheduleBlock(F, B, LV.liveOut(BI));
+    std::vector<size_t> Order = scheduleBlock(B, LV->liveOut(BI), UsesLeft);
     bool Identity = true;
     for (size_t J = 0; J != Order.size(); ++J)
       Identity &= (Order[J] == J);

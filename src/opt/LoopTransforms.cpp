@@ -17,6 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/analysis/AnalysisCache.h"
 #include "src/analysis/Dominators.h"
 #include "src/analysis/Liveness.h"
 #include "src/analysis/Loops.h"
@@ -234,13 +235,13 @@ bool LoopTransformsPhase::apply(Function &F) const {
   bool Progress = true;
   while (Progress) {
     Progress = false;
-    Cfg C = Cfg::build(F);
-    Dominators D(F, C);
-    LoopInfo LI(F, C, D);
-    Liveness LV(F, C);
-    for (const Loop &L : LI.loops()) {
-      if (hoistOneInvariant(F, L, C, D, LV) ||
-          strengthReduceOneIv(F, L, C, D)) {
+    const std::shared_ptr<const Cfg> C = cfgOf(F);
+    const std::shared_ptr<const Dominators> D = dominatorsOf(F);
+    const std::shared_ptr<const LoopInfo> LI = loopsOf(F);
+    const std::shared_ptr<const Liveness> LV = livenessOf(F);
+    for (const Loop &L : LI->loops()) {
+      if (hoistOneInvariant(F, L, *C, *D, *LV) ||
+          strengthReduceOneIv(F, L, *C, *D)) {
         Progress = true;
         Changed = true;
         break; // Analyses are stale; restart.

@@ -19,7 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "src/analysis/Dominators.h"
+#include "src/analysis/AnalysisCache.h"
 #include "src/analysis/Loops.h"
 #include "src/ir/Function.h"
 #include "src/opt/Phases.h"
@@ -38,14 +38,12 @@ bool LoopUnrollingPhase::apply(Function &F) const {
   assert(F.State.RegAllocDone &&
          "loop unrolling is restricted to run after register allocation");
   bool Changed = false;
-  Cfg C = Cfg::build(F);
-  Dominators D(F, C);
-  LoopInfo LI(F, C, D);
+  const std::shared_ptr<const LoopInfo> LI = loopsOf(F);
 
   // Collect the self-loop headers first; transforming invalidates indices,
   // so re-find blocks by label afterward.
   std::vector<int32_t> Targets;
-  for (const Loop &L : LI.loops()) {
+  for (const Loop &L : LI->loops()) {
     if (L.Blocks.size() != 1)
       continue;
     const BasicBlock &B = F.Blocks[static_cast<size_t>(L.Header)];

@@ -19,7 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "src/analysis/Dominators.h"
+#include "src/analysis/AnalysisCache.h"
 #include "src/analysis/Loops.h"
 #include "src/ir/Function.h"
 #include "src/opt/Phases.h"
@@ -85,18 +85,13 @@ bool invertOneLoop(Function &F, const Loop &L) {
 
 bool MinimizeLoopJumpsPhase::apply(Function &F) const {
   bool Changed = false;
-  Cfg C = Cfg::build(F);
-  Dominators D(F, C);
-  LoopInfo LI(F, C, D);
-  for (const Loop &L : LI.loops()) {
+  const std::shared_ptr<const LoopInfo> LI = loopsOf(F);
+  for (const Loop &L : LI->loops()) {
     if (invertOneLoop(F, L)) {
       Changed = true;
-      // Structure changed: recompute before trying more loops.
-      C = Cfg::build(F);
-      Dominators D2(F, C);
-      LoopInfo LI2(F, C, D2);
-      // Restart with fresh analysis by applying recursively; one level of
-      // recursion per transformed loop keeps this simple and bounded.
+      // Structure changed: restart with fresh analysis by applying
+      // recursively; one level of recursion per transformed loop keeps
+      // this simple and bounded.
       MinimizeLoopJumpsPhase Again;
       Again.apply(F);
       break;

@@ -62,6 +62,13 @@ bool PhaseManager::isLegal(PhaseId P, const PhaseState &S) const {
 
 bool PhaseManager::attempt(PhaseId P, Function &F) const {
   assert(isLegal(P, F) && "attempted an illegal phase");
+  // Register assignment, the phase, its cleanup and the closing dormant
+  // re-apply share analyses through one cell, scoped to this attempt. A
+  // caller that attached a cell already (the enumerator, once per
+  // frontier entry) keeps its own, so sibling attempts on one instance
+  // share the parent's analyses too.
+  const bool OwnCell = !F.Blocks.analyses();
+  F.Blocks.attachAnalyses();
   if (requiresRegAssignment(P) && !F.State.RegsAssigned)
     assignRegisters(F);
   // Re-apply after the implicit CFG cleanup until the phase is dormant:
@@ -73,6 +80,8 @@ bool PhaseManager::attempt(PhaseId P, Function &F) const {
     Active = true;
     cleanupCfg(F);
   }
+  if (OwnCell)
+    F.Blocks.detachAnalyses();
   return Active;
 }
 

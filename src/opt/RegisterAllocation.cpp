@@ -19,6 +19,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/analysis/AnalysisCache.h"
 #include "src/analysis/Liveness.h"
 #include "src/ir/Function.h"
 #include "src/machine/Target.h"
@@ -169,8 +170,7 @@ void promote(Function &F, int32_t Slot, RegNum R) {
   // current entry block is a branch target (e.g. a loop header), the
   // function gets a dedicated entry block first.
   if (Slot < F.NumParams) {
-    Cfg C = Cfg::build(F);
-    if (!C.Preds[0].empty())
+    if (!cfgOf(F)->Preds[0].empty())
       F.Blocks.insertAt(0, BasicBlock(F.makeLabel()));
     BasicBlock &Entry = F.Blocks.mut(0);
     Entry.Insts.insert(Entry.Insts.begin(),
@@ -190,11 +190,10 @@ bool RegisterAllocationPhase::apply(Function &F) const {
        ++Slot) {
     if (F.Slots[Slot].IsArray || !promotable(F, Slot))
       continue;
-    Cfg C = Cfg::build(F);
-    Liveness LV(F, C);
-    VarLiveness V = computeVarLiveness(F, C, Slot);
+    const std::shared_ptr<const Liveness> LV = livenessOf(F);
+    VarLiveness V = computeVarLiveness(F, *cfgOf(F), Slot);
     for (RegNum R = 0; R != target::NumAllocatableRegs; ++R) {
-      if (!regFreeForVar(F, LV, V, R))
+      if (!regFreeForVar(F, *LV, V, R))
         continue;
       promote(F, Slot, R);
       Changed = true;

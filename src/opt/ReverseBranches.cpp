@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/analysis/AnalysisCache.h"
 #include "src/ir/Function.h"
 #include "src/opt/Phases.h"
 
@@ -36,8 +37,7 @@ bool ReverseBranchesPhase::apply(Function &F) const {
       continue;
     // B must be reached only as A's fall-through: a jump elsewhere into B
     // would change meaning when B disappears.
-    Cfg C = Cfg::build(F);
-    if (C.Preds[BI + 1].size() != 1)
+    if (cfgOf(F)->Preds[BI + 1].size() != 1)
       continue;
     const Operand NewTarget = B.Insts[0].Src[0];
     Rtl *MT = F.Blocks.mut(BI).terminator();

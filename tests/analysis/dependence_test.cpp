@@ -10,13 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace pose;
 
 namespace {
 
-bool mustPrecede(const std::vector<std::set<size_t>> &Deps, size_t A,
+bool mustPrecede(const std::vector<std::vector<size_t>> &Deps, size_t A,
                  size_t B) {
-  return Deps[B].count(A) > 0;
+  return std::binary_search(Deps[B].begin(), Deps[B].end(), A);
 }
 
 TEST(DependenceDag, RawWarWaw) {

@@ -4,10 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Pins how many Cfg and Liveness analyses one enumeration of the whole
-// suite builds. The counts are deterministic, so any change that makes a
-// phase rebuild its dataflow more (or less) often shows up here exactly;
-// an intentional change updates the numbers. The counts must not depend
+// Pins how many Cfg, Liveness, Dominators and LoopInfo analyses one
+// enumeration of the whole suite builds. The counts are deterministic,
+// so any change that makes a phase rebuild its dataflow more (or less)
+// often shows up here exactly; an intentional change updates the
+// numbers. The counts must not depend
 // on the job count or on timing, and counting from several threads at
 // once must be race-free (this test runs under TSan).
 //
@@ -41,19 +42,28 @@ AnalysisCounts enumerateSuite(unsigned Jobs) {
   return analysisBuildTotals() - Before;
 }
 
-// Recorded with one Cfg + Liveness per application of s, one per round
-// of h, and one Cfg per application of c. Before that rewrite the same
-// enumeration built 328923 Cfgs and 127630 Livenesses. The enumerator
-// hashes the control flow of an instance only when the commit inserts it
-// as a new node, so the counts are the same for every job count.
-constexpr uint64_t CfgBuilds = 233809;
-constexpr uint64_t LivenessBuilds = 52722;
+// Recorded with an analysis cell per frontier entry: the sibling attempts
+// on one instance share the Cfg, Liveness, Dominators and LoopInfo of the
+// unchanged parent, and each attempt's cleanup, re-apply and control-flow
+// hash reuse what it built after its own edits. Before that change the
+// same enumeration built 233809 Cfgs, 52722 Livenesses, 46905 Dominators
+// and 46905 LoopInfos (and, before phases s, h and c moved to one analysis
+// per fixed-point round, 328923 Cfgs and 127630 Livenesses). The
+// enumerator hashes the control flow of an instance only when the commit
+// inserts it as a new node, so the counts are the same for every job
+// count.
+constexpr uint64_t CfgBuilds = 76585;
+constexpr uint64_t LivenessBuilds = 35412;
+constexpr uint64_t DominatorsBuilds = 24205;
+constexpr uint64_t LoopInfoBuilds = 24205;
 
 TEST(AnalysisCounters, SuiteEnumerationBuildsArePinned) {
   for (unsigned Jobs : {1u, 2u}) {
     const AnalysisCounts Counts = enumerateSuite(Jobs);
     EXPECT_EQ(Counts.CfgBuilds, CfgBuilds) << "jobs=" << Jobs;
     EXPECT_EQ(Counts.LivenessBuilds, LivenessBuilds) << "jobs=" << Jobs;
+    EXPECT_EQ(Counts.DominatorsBuilds, DominatorsBuilds) << "jobs=" << Jobs;
+    EXPECT_EQ(Counts.LoopInfoBuilds, LoopInfoBuilds) << "jobs=" << Jobs;
   }
 }
 
